@@ -19,13 +19,18 @@
 //! An Alpaca task body has no durable side effects before commit — its
 //! writes privatize into the host-side redo log, which a body-time power
 //! failure discards. The bodies therefore execute host-side while
-//! *recording* the exact op sequence they would have consumed onto an
-//! [`mcu::OpBundle`] tape (via the runtime's `*_taped` accessors), and
-//! the graph closure settles the tape in one arithmetic step
-//! ([`mcu::Device::consume_tape`]) — replaying it op-by-op only when the
-//! buffer cannot cover it, so a brown-out charges exactly the scalar
-//! prefix. The commit walk itself (which *does* write home locations)
-//! uses the funded-bundle discipline inside `AlpacaRt::commit`.
+//! tallying the ops they would have consumed onto an [`mcu::OpBundle`]
+//! tape (via the runtime's `*_taped` accessors), and
+//! [`AlpacaRt::run_taped`] settles the tape in one arithmetic step.
+//! Tapes are count-first: a funded settle needs only the aggregate
+//! `(phase, op)` counts, so that is all the body records. When the
+//! buffer cannot cover the tape, the runtime drops the body's log
+//! entries and re-runs it recording the ordered sequence, which
+//! [`mcu::Device::consume_tape`] replays op by op — so a brown-out
+//! charges exactly the scalar prefix. A device that has ever had a fault
+//! plan armed records the sequence from the start. The commit walk
+//! itself (which *does* write home locations) uses the funded-bundle
+//! discipline inside `AlpacaRt::commit`.
 
 use crate::baseline::unpack_tap;
 use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel};
@@ -478,25 +483,20 @@ pub fn build(m: &DeployedModel, tile: u32) -> TaskGraph<AlpacaRt> {
         };
         g.add(&name, move |dev, rt| {
             let l = &m.layers[li];
-            // The body executes host-side, recording its op sequence;
-            // the settle below charges it (or replays it scalar-wise to
-            // the exact brown-out op on a shortfall).
-            let mut tape = rt.take_tape();
-            let t = match (kind_tag, &l.kind) {
-                (0, _) => accum_layer_tiled(dev, rt, &mut tape, &m, l, self_id, next, tile, true),
+            // The body executes host-side, tallying its ops; the runtime
+            // settles the tally (or re-records and replays it scalar-wise
+            // to the exact brown-out op on a shortfall).
+            rt.run_taped(dev, |dev, rt, tape| match (kind_tag, &l.kind) {
+                (0, _) => accum_layer_tiled(dev, rt, tape, &m, l, self_id, next, tile, true),
                 (1, DeployedKind::Dense { sparse, .. }) => {
                     if sparse.is_some() {
-                        sparse_dense_tiled(dev, rt, &mut tape, &m, l, self_id, next, tile)
+                        sparse_dense_tiled(dev, rt, tape, &m, l, self_id, next, tile)
                     } else {
-                        accum_layer_tiled(dev, rt, &mut tape, &m, l, self_id, next, tile, false)
+                        accum_layer_tiled(dev, rt, tape, &m, l, self_id, next, tile, false)
                     }
                 }
-                _ => map_layer_tiled(dev, rt, &mut tape, &m, l, self_id, next, tile),
-            };
-            let settled = dev.consume_tape(&tape);
-            rt.put_tape(tape);
-            settled?;
-            t
+                _ => map_layer_tiled(dev, rt, tape, &m, l, self_id, next, tile),
+            })
         });
     }
     if n == 0 {

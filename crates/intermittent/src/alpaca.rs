@@ -25,38 +25,6 @@
 use crate::task::{RuntimeCtx, TaskGraph, TaskId, Transition};
 use fxp::Q15;
 use mcu::{AllocError, Device, FramWord, NvAddr, Op, OpBundle, Phase, PowerFailure};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// A multiplicative hasher for the redo log's word addresses. `NvAddr`
-/// is a dense `u32` FRAM index; SipHash's DoS hardening is wasted on it,
-/// and the log lookup is the hottest host-side operation in every tiled
-/// simulation (three probes per loop iteration).
-#[derive(Default)]
-pub struct AddrHasher(u64);
-
-impl Hasher for AddrHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (not used by NvAddr's derived Hash).
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        // Fibonacci multiplicative mix: full 64-bit avalanche is not
-        // needed, HashMap uses the top bits.
-        self.0 = (self.0 ^ v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
 
 /// A redo-log entry: the privatized value plus a per-entry checksum.
 /// The checksum is computed when the entry is appended or updated and
@@ -76,7 +44,91 @@ fn log_ck(addr: NvAddr, v: Q15) -> u16 {
     (addr.index() as u16).wrapping_mul(0x9E37) ^ (v.raw() as u16) ^ 0x5A5A
 }
 
-type AddrMap = HashMap<NvAddr, LogEntry, BuildHasherDefault<AddrHasher>>;
+/// FRAM words per page of the log's address → slot table.
+const SLOT_PAGE: usize = 512;
+
+/// The redo log: entries in append (commit-walk) order, plus a
+/// direct-indexed address → slot table. `slots` holds `k + 1` for an
+/// address privatized by `entries[k]` and 0 for an unlogged one, so a
+/// lookup is a table load and the commit walk a linear scan, with no
+/// hashing anywhere.
+///
+/// The table is paged: a run maps only the pages its logged addresses
+/// fall in (the activation and partial-sum planes plus a few control
+/// words), instead of a zero-filled slot for every FRAM word. Clearing
+/// resets just the slots the entries used, so the pages stay mapped and
+/// all-empty for the next body.
+#[derive(Clone, Debug, Default)]
+struct RedoLog {
+    entries: Vec<(NvAddr, LogEntry)>,
+    slots: Vec<Option<Box<[u32; SLOT_PAGE]>>>,
+}
+
+impl RedoLog {
+    /// The slot-table entry for `addr` (0 when unlogged).
+    #[inline]
+    fn slot(&self, addr: NvAddr) -> u32 {
+        let i = addr.index() as usize;
+        match self.slots.get(i / SLOT_PAGE) {
+            Some(Some(page)) => page[i % SLOT_PAGE],
+            _ => 0,
+        }
+    }
+
+    #[inline]
+    fn get(&self, addr: NvAddr) -> Option<&LogEntry> {
+        match self.slot(addr) {
+            0 => None,
+            k => Some(&self.entries[k as usize - 1].1),
+        }
+    }
+
+    #[inline]
+    fn contains(&self, addr: NvAddr) -> bool {
+        self.slot(addr) != 0
+    }
+
+    /// Updates the entry for `addr` in place, or appends one. Returns
+    /// `true` when the entry was appended.
+    #[inline]
+    fn upsert(&mut self, addr: NvAddr, e: LogEntry) -> bool {
+        match self.slot(addr) {
+            0 => {
+                self.entries.push((addr, e));
+                let i = addr.index() as usize;
+                if i / SLOT_PAGE >= self.slots.len() {
+                    self.slots.resize_with(i / SLOT_PAGE + 1, || None);
+                }
+                let page =
+                    self.slots[i / SLOT_PAGE].get_or_insert_with(|| Box::new([0; SLOT_PAGE]));
+                page[i % SLOT_PAGE] = self.entries.len() as u32;
+                true
+            }
+            k => {
+                self.entries[k as usize - 1].1 = e;
+                false
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Drops every entry, resetting only the slots they occupied.
+    fn clear(&mut self) {
+        for (addr, _) in self.entries.drain(..) {
+            let i = addr.index() as usize;
+            if let Some(Some(page)) = self.slots.get_mut(i / SLOT_PAGE) {
+                page[i % SLOT_PAGE] = 0;
+            }
+        }
+    }
+}
 
 /// FRAM words written when a log entry is created (20-bit address pair,
 /// value, bucket link, dirty-list link, size tag, canonical pointer).
@@ -104,10 +156,9 @@ pub const COMMIT_FIXED_READS: u64 = 30;
 /// The log's *contents* are non-volatile (they survive power failures, as
 /// they must for commit replay); whether they are *valid* is governed by
 /// the commit flag, exactly as in Alpaca's two-phase commit.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct AlpacaRt {
-    log: AddrMap,
-    order: Vec<NvAddr>,
+    log: RedoLog,
     commit_flag: FramWord,
     committing: bool,
     /// `true` when the most recent `after_commit` flag-lower store was
@@ -147,12 +198,11 @@ impl AlpacaRt {
         // commit rather than trusted.
         dev.guard_word(commit_flag);
         Ok(AlpacaRt {
-            log: AddrMap::default(),
-            order: Vec::new(),
+            log: RedoLog::default(),
             commit_flag,
             committing: false,
             flag_lower_pending: false,
-            tape: OpBundle::new(),
+            tape: OpBundle::counting(),
             commit_entry: [
                 commit_entry_bundle(Phase::Kernel),
                 commit_entry_bundle(Phase::Control),
@@ -197,16 +247,16 @@ impl AlpacaRt {
 
     /// The pending redo-log entries in append (commit-walk) order.
     pub fn log_entries(&self) -> impl Iterator<Item = (NvAddr, Q15)> + '_ {
-        self.order.iter().map(move |a| (*a, self.log[a].v))
+        self.log.entries.iter().map(|(a, e)| (*a, e.v))
     }
 
     /// Fault-injection hook: corrupts the stored checksum of the `k`-th
     /// (append-order) log entry, as a decayed non-volatile log cell
     /// would. Returns `false` if the log has no such entry.
     pub fn poison_log_entry(&mut self, k: usize) -> bool {
-        match self.order.get(k) {
-            Some(a) => {
-                self.log.get_mut(a).expect("ordered entry exists").ck ^= 1;
+        match self.log.entries.get_mut(k) {
+            Some((_, e)) => {
+                e.ck ^= 1;
                 true
             }
             None => false,
@@ -229,12 +279,13 @@ impl AlpacaRt {
     // An Alpaca task body has NO durable side effects before commit: its
     // writes privatize into the (host-side) redo log, which a body-time
     // power failure discards anyway. That makes the body eligible for op
-    // *taping*: it executes host-side, recording the exact op sequence it
-    // would have consumed, and settles the tape in one arithmetic step at
-    // the end ([`Device::consume_tape`]) — with a scalar op-by-op replay
-    // when the buffer cannot cover it, so a brown-out charges exactly the
-    // scalar prefix. Taped methods record at the kernel phase, matching
-    // the tiled kernels that use them.
+    // *taping*: it executes host-side, tallying the ops it would have
+    // consumed, and settles the tape in one arithmetic step at the end
+    // (see [`AlpacaRt::run_taped`]) — re-running with the ordered
+    // sequence recorded, for an op-by-op replay, only when the buffer
+    // cannot cover it, so a brown-out charges exactly the scalar prefix.
+    // Taped methods record at the kernel phase, matching the tiled
+    // kernels that use them.
 
     fn tape_lookup(tape: &mut OpBundle) {
         tape.push_n(Op::FramRead, Phase::Kernel, LOOKUP_READS);
@@ -247,10 +298,9 @@ impl AlpacaRt {
         // Hit pays a log-entry read, miss the home read: one FramRead
         // either way.
         tape.push(Op::FramRead, Phase::Kernel);
-        if let Some(e) = self.log.get(&addr) {
-            e.v
-        } else {
-            dev.peek_at(addr)
+        match self.log.get(addr) {
+            Some(e) => e.v,
+            None => dev.peek_at(addr),
         }
     }
 
@@ -263,18 +313,12 @@ impl AlpacaRt {
             v,
             ck: log_ck(addr, v),
         };
-        match self.log.entry(addr) {
-            Entry::Occupied(mut e) => {
-                tape.push_n(Op::FramWrite, Phase::Kernel, 2); // value + dirty flag
-                tape.push(Op::Alu, Phase::Kernel);
-                e.insert(le);
-            }
-            Entry::Vacant(e) => {
-                tape.push_n(Op::FramWrite, Phase::Kernel, LOG_ENTRY_WORDS);
-                tape.push_n(Op::Alu, Phase::Kernel, LOOKUP_ALU);
-                self.order.push(addr);
-                e.insert(le);
-            }
+        if self.log.upsert(addr, le) {
+            tape.push_n(Op::FramWrite, Phase::Kernel, LOG_ENTRY_WORDS);
+            tape.push_n(Op::Alu, Phase::Kernel, LOOKUP_ALU);
+        } else {
+            tape.push_n(Op::FramWrite, Phase::Kernel, 2); // value + dirty flag
+            tape.push(Op::Alu, Phase::Kernel);
         }
     }
 
@@ -300,13 +344,17 @@ impl AlpacaRt {
     ) -> Result<u16, PowerFailure> {
         Self::tape_lookup(tape);
         tape.push(Op::FramRead, Phase::Kernel);
-        if let Some(e) = self.log.get(&addr) {
+        if let Some(e) = self.log.get(addr) {
             return Ok(e.v.raw() as u16);
         }
         let v = dev.peek_at(addr);
         if dev.verify_at(addr) {
             return Ok(v.raw() as u16);
         }
+        // Only injected faults diverge a word from its guard, and a
+        // device that has seen a fault plan tapes sequenced from the
+        // start: the scrub below is never re-run by `run_taped`.
+        debug_assert!(tape.is_sequenced(), "scrub on a counting tape");
         let region = dev.context().0;
         if !dev.note_corruption(region) {
             return Err(PowerFailure);
@@ -324,17 +372,50 @@ impl AlpacaRt {
         self.ts_write_taped(tape, addr, Q15::from_raw(v as i16));
     }
 
-    /// Borrows the reusable scratch tape out of the runtime (cleared),
-    /// sidestepping the double-borrow of `rt` and `tape` in task bodies.
-    pub fn take_tape(&mut self) -> OpBundle {
-        let mut t = std::mem::take(&mut self.tape);
-        t.clear();
-        t
-    }
-
-    /// Returns the scratch tape after settling.
-    pub fn put_tape(&mut self, tape: OpBundle) {
+    /// Runs a task body that records its ops with the `*_taped`
+    /// accessors, then settles the tape, returning the body's result.
+    ///
+    /// Count-first: the body first runs against a counting tape
+    /// ([`OpBundle::counting`]), and a funded settle charges the
+    /// aggregate counts in one step. Only when the settle falls short is
+    /// the ordered sequence needed: the body's log entries are dropped
+    /// and the body re-runs against the identical home values with a
+    /// sequenced tape, which [`Device::consume_tape`] replays op by op so
+    /// the brown-out lands on exactly the op the scalar path dies on.
+    ///
+    /// The body is sequenced from the start when the log was not empty
+    /// on entry (dropping it would not restore that state), or when the
+    /// device has ever had a fault plan armed: a guard scrub is a device
+    /// side effect a re-run would not repeat.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PowerFailure`] when the settle browns out, or the body's
+    /// own failure.
+    pub fn run_taped<T>(
+        &mut self,
+        dev: &mut Device,
+        mut body: impl FnMut(&mut Device, &mut Self, &mut OpBundle) -> Result<T, PowerFailure>,
+    ) -> Result<T, PowerFailure> {
+        let mut tape = std::mem::take(&mut self.tape);
+        tape.reset(dev.faults_ever_armed() || !self.log.is_empty());
+        let mut out = body(dev, self, &mut tape);
+        let settled = if tape.is_sequenced() {
+            dev.consume_tape(&tape)
+        } else {
+            match dev.consume_bundle(&tape, 1) {
+                Ok(0) => {
+                    self.log.clear();
+                    tape.reset(true);
+                    out = body(dev, self, &mut tape);
+                    dev.consume_tape(&tape)
+                }
+                r => r.map(|_| ()),
+            }
+        };
         self.tape = tape;
+        settled?;
+        out
     }
 
     fn charge_lookup(&self, dev: &mut Device) -> Result<(), PowerFailure> {
@@ -355,7 +436,7 @@ impl AlpacaRt {
     /// detected and the retry budget is exhausted.
     pub fn ts_read(&mut self, dev: &mut Device, addr: NvAddr) -> Result<Q15, PowerFailure> {
         self.charge_lookup(dev)?;
-        if let Some(&e) = self.log.get(&addr) {
+        if let Some(&e) = self.log.get(addr) {
             dev.consume(Op::FramRead)?; // the log entry itself
             return Ok(e.v);
         }
@@ -385,15 +466,14 @@ impl AlpacaRt {
     /// restart anyway).
     pub fn ts_write(&mut self, dev: &mut Device, addr: NvAddr, v: Q15) -> Result<(), PowerFailure> {
         self.charge_lookup(dev)?;
-        if self.log.contains_key(&addr) {
+        if self.log.contains(addr) {
             dev.consume_n(Op::FramWrite, 2)?; // value + dirty flag
             dev.consume(Op::Alu)?;
         } else {
             dev.consume_n(Op::FramWrite, LOG_ENTRY_WORDS)?;
             dev.consume_n(Op::Alu, LOOKUP_ALU)?;
-            self.order.push(addr);
         }
-        self.log.insert(
+        self.log.upsert(
             addr,
             LogEntry {
                 v,
@@ -429,7 +509,7 @@ impl AlpacaRt {
 
 impl RuntimeCtx for AlpacaRt {
     fn commit(&mut self, dev: &mut Device) -> Result<(), PowerFailure> {
-        if self.order.is_empty() {
+        if self.log.is_empty() {
             return Ok(());
         }
         if !self.committing {
@@ -458,24 +538,22 @@ impl RuntimeCtx for AlpacaRt {
             Phase::Kernel => &self.commit_entry[0],
             Phase::Control => &self.commit_entry[1],
         };
-        let total = self.order.len();
+        let total = self.log.len();
         let mut i = 0usize;
         while i < total {
             let funded = dev.consume_bundle(entry, (total - i) as u64)? as usize;
-            for addr in &self.order[i..i + funded] {
-                let e = self.log[addr];
+            for &(addr, e) in &self.log.entries[i..i + funded] {
                 // Checksum validation rides in the entry read the
                 // bundle charged; a mismatch means the log cells
                 // decayed and the redo value cannot be trusted.
-                if e.ck != log_ck(*addr, e.v) {
+                if e.ck != log_ck(addr, e.v) {
                     return Self::log_corrupt(dev);
                 }
-                dev.prepaid_write_at(*addr, e.v);
+                dev.prepaid_write_at(addr, e.v);
             }
             i += funded;
             if i < total {
-                let addr = self.order[i];
-                let e = self.log[&addr];
+                let (addr, e) = self.log.entries[i];
                 dev.consume_n(Op::FramRead, 2)?; // read entry (address + value)
                 if e.ck != log_ck(addr, e.v) {
                     return Self::log_corrupt(dev);
@@ -503,7 +581,6 @@ impl RuntimeCtx for AlpacaRt {
         let was_high = self.committing || self.flag_lower_pending;
         self.flag_lower_pending = dev.store_word(self.commit_flag, 0).is_err() && was_high;
         self.log.clear();
-        self.order.clear();
         self.committing = false;
     }
 
@@ -515,7 +592,6 @@ impl RuntimeCtx for AlpacaRt {
             // Discard privatized state; the task body re-executes against
             // the home values.
             self.log.clear();
-            self.order.clear();
             self.committing = false;
         }
     }
@@ -647,6 +723,84 @@ mod tests {
         rt.ts_store_word(&mut dev, w.addr(), 2).unwrap();
         let second = dev.trace().op_count(Op::FramWrite) - before;
         assert_eq!(second, 2, "updates touch the value and dirty words");
+    }
+
+    #[test]
+    fn upserts_keep_append_order() {
+        let mut dev = continuous_dev();
+        let words = dev.fram_alloc(3).unwrap();
+        let mut rt = AlpacaRt::new(&mut dev).unwrap();
+        for (k, v) in [(2u32, 20u16), (0, 1), (1, 10), (0, 2)] {
+            rt.ts_store_word(&mut dev, words.addr(k), v).unwrap();
+        }
+        let raw = |v: i16| Q15::from_raw(v);
+        assert_eq!(rt.log_len(), 3, "a rewrite updates its entry in place");
+        assert_eq!(
+            rt.log_entries().collect::<Vec<_>>(),
+            vec![
+                (words.addr(2), raw(20)),
+                (words.addr(0), raw(2)),
+                (words.addr(1), raw(10)),
+            ]
+        );
+    }
+
+    #[test]
+    fn cleared_log_leaves_no_stale_slot() {
+        // Addresses on different slot-table pages.
+        let mut dev = continuous_dev();
+        let lo = dev.fram_alloc_word().unwrap();
+        dev.fram_alloc(2 * SLOT_PAGE as u32).unwrap();
+        let hi = dev.fram_alloc_word().unwrap();
+        dev.store_word(hi, 5).unwrap();
+        let mut rt = AlpacaRt::new(&mut dev).unwrap();
+        rt.ts_store_word(&mut dev, lo.addr(), 1).unwrap();
+        rt.ts_store_word(&mut dev, hi.addr(), 50).unwrap();
+        // The body dies: its entries go, and the next body must see the
+        // home values and pay full appends again.
+        rt.on_power_failure(&mut dev, false);
+        assert_eq!(rt.log_len(), 0);
+        assert_eq!(rt.ts_load_word(&mut dev, hi.addr()).unwrap(), 5);
+        let before = dev.trace().op_count(Op::FramWrite);
+        rt.ts_store_word(&mut dev, hi.addr(), 51).unwrap();
+        assert_eq!(
+            dev.trace().op_count(Op::FramWrite) - before,
+            LOG_ENTRY_WORDS,
+            "a first write after clearing appends a fresh entry"
+        );
+        assert_eq!(
+            rt.log_entries().collect::<Vec<_>>(),
+            vec![(hi.addr(), Q15::from_raw(51))]
+        );
+        // A commit clears the log the same way.
+        rt.commit(&mut dev).unwrap();
+        rt.after_commit(&mut dev);
+        assert_eq!(rt.log_len(), 0);
+        rt.ts_store_word(&mut dev, lo.addr(), 7).unwrap();
+        assert_eq!(
+            rt.log_entries().collect::<Vec<_>>(),
+            vec![(lo.addr(), Q15::from_raw(7))]
+        );
+    }
+
+    #[test]
+    fn poison_addresses_the_kth_appended_entry() {
+        let mut dev = continuous_dev();
+        let words = dev.fram_alloc(3).unwrap();
+        let mut rt = AlpacaRt::new(&mut dev).unwrap();
+        // Append order 2, 0, 1 (address order differs).
+        for k in [2u32, 0, 1] {
+            rt.ts_store_word(&mut dev, words.addr(k), 100 + k as u16)
+                .unwrap();
+        }
+        assert!(!rt.poison_log_entry(3), "no fourth entry");
+        assert!(rt.poison_log_entry(1));
+        assert!(rt.commit(&mut dev).is_err());
+        // The walk redid entry 0 (word 2), then stopped at entry 1
+        // (word 0) before its home write.
+        assert_eq!(dev.peek_at(words.addr(2)).raw(), 102);
+        assert_eq!(dev.peek_at(words.addr(0)).raw(), 0);
+        assert_eq!(dev.peek_at(words.addr(1)).raw(), 0);
     }
 
     #[test]

@@ -27,10 +27,16 @@
 //!
 //! For loop bodies whose op sequence is data-dependent but which have
 //! **no durable side effects** until a later commit (the Alpaca redo-log
-//! bodies), the same type doubles as an *op tape*: the body records every
+//! bodies), the same type doubles as an *op tape*: the body tallies every
 //! op it would have consumed while executing host-side, then settles the
-//! tape in one step ([`Device::consume_tape`](crate::Device::consume_tape)),
-//! replaying it scalar-wise only when the buffer cannot cover it.
+//! tape in one step ([`Device::consume_bundle`](crate::Device::consume_bundle)).
+//! Tapes are **count-first** ([`OpBundle::counting`]): they keep only the
+//! aggregate `(phase, op)` counts, which is all a funded settle needs.
+//! The ordered sequence matters only when the settle falls short, and
+//! then the body is re-run against the same inputs with a sequenced tape
+//! ([`OpBundle::new`]) that [`Device::consume_tape`](crate::Device::consume_tape)
+//! replays op by op to the exact brown-out op. Most bodies settle in
+//! full, so most never pay for recording the sequence.
 
 use crate::spec::{CostTable, Op};
 use crate::trace::Phase;
@@ -49,14 +55,16 @@ pub struct BundleOp {
 /// The precomputed op sequence of one inner-loop iteration (or a recorded
 /// op tape). See the [module docs](self).
 ///
-/// Alongside the ordered sequence (needed only for the exact scalar
-/// replay on a brown-out) the bundle maintains per-`(phase, op)`
-/// aggregate counts, so bulk charging and cost totals are O(op classes)
-/// regardless of how long a recorded tape grows.
+/// The bundle always maintains per-`(phase, op)` aggregate counts, so
+/// bulk charging and cost totals are O(op classes) regardless of how long
+/// a recorded tape grows. A *sequenced* bundle additionally keeps the
+/// ordered sequence, needed only for the exact scalar replay on a
+/// brown-out; a *counting* bundle keeps the counts alone.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OpBundle {
     seq: Vec<BundleOp>,
     counts: [[u64; Op::COUNT]; 2],
+    sequenced: bool,
 }
 
 impl Default for OpBundle {
@@ -66,12 +74,36 @@ impl Default for OpBundle {
 }
 
 impl OpBundle {
-    /// An empty bundle.
+    /// An empty bundle that records the ordered op sequence.
     pub const fn new() -> Self {
         OpBundle {
             seq: Vec::new(),
             counts: [[0; Op::COUNT]; 2],
+            sequenced: true,
         }
+    }
+
+    /// An empty bundle that records only the aggregate `(phase, op)`
+    /// counts: it charges exactly like a sequenced bundle with the same
+    /// ops, but cannot be replayed op by op.
+    pub const fn counting() -> Self {
+        OpBundle {
+            seq: Vec::new(),
+            counts: [[0; Op::COUNT]; 2],
+            sequenced: false,
+        }
+    }
+
+    /// `true` when the bundle records the ordered op sequence.
+    pub fn is_sequenced(&self) -> bool {
+        self.sequenced
+    }
+
+    /// Empties the bundle and switches it between sequenced and counting
+    /// recording, keeping its capacity (tape reuse).
+    pub fn reset(&mut self, sequenced: bool) {
+        self.clear();
+        self.sequenced = sequenced;
     }
 
     /// Appends one op to the sequence.
@@ -88,6 +120,9 @@ impl OpBundle {
             return;
         }
         self.counts[phase.index()][op.index()] += count;
+        if !self.sequenced {
+            return;
+        }
         if let Some(last) = self.seq.last_mut() {
             if last.op == op && last.phase == phase {
                 last.count += count;
@@ -97,7 +132,8 @@ impl OpBundle {
         self.seq.push(BundleOp { op, phase, count });
     }
 
-    /// The ordered (run-length-encoded) op sequence.
+    /// The ordered (run-length-encoded) op sequence; empty for a
+    /// counting bundle.
     pub fn ops(&self) -> &[BundleOp] {
         &self.seq
     }
@@ -108,9 +144,9 @@ impl OpBundle {
         self.counts[phase.index()][op.index()]
     }
 
-    /// `true` when the bundle holds no ops.
+    /// `true` when the bundle holds no ops (sequenced or counted).
     pub fn is_empty(&self) -> bool {
-        self.seq.is_empty()
+        self.counts.iter().flatten().all(|&n| n == 0)
     }
 
     /// Total ops in one iteration.
@@ -118,7 +154,7 @@ impl OpBundle {
         self.counts.iter().flatten().sum()
     }
 
-    /// Empties the sequence, keeping its capacity (tape reuse).
+    /// Empties the bundle, keeping its capacity and recording mode.
     pub fn clear(&mut self) {
         self.seq.clear();
         self.counts = [[0; Op::COUNT]; 2];
@@ -169,6 +205,75 @@ mod tests {
         let w = costs.cost(Op::FramWrite);
         assert_eq!(cycles, 2 * r.cycles as u64 + w.cycles as u64);
         assert_eq!(energy, 2 * r.energy_pj + w.energy_pj);
+    }
+
+    #[test]
+    fn counting_bundle_tallies_without_a_sequence() {
+        let mut b = OpBundle::counting();
+        assert!(b.is_empty());
+        b.push(Op::Alu, Phase::Kernel);
+        b.push_n(Op::FramWrite, Phase::Control, 3);
+        assert!(b.ops().is_empty(), "no sequence recorded");
+        assert!(!b.is_empty(), "counts alone make it non-empty");
+        assert_eq!(b.len(), 4);
+        assert_eq!(b.count(Phase::Control, Op::FramWrite), 3);
+        b.reset(true);
+        assert!(b.is_sequenced() && b.is_empty());
+    }
+
+    /// A long tape (more entries than the short-bundle walk takes) plus
+    /// a one-iteration body, each recorded both ways.
+    fn tape_pair(long: bool) -> (OpBundle, OpBundle) {
+        let (mut seq, mut cnt) = (OpBundle::new(), OpBundle::counting());
+        let reps = if long { 40 } else { 1 };
+        for b in [&mut seq, &mut cnt] {
+            for i in 0..reps {
+                b.push_n(Op::FramRead, Phase::Kernel, 3);
+                b.push(Op::FxpMul, Phase::Kernel);
+                b.push_n(Op::FramWrite, Phase::Control, 1 + i % 2);
+                b.push(Op::Incr, Phase::Control);
+            }
+        }
+        (seq, cnt)
+    }
+
+    #[test]
+    fn counting_and_sequenced_bundles_charge_identically() {
+        use crate::{Device, DeviceSpec, PowerSystem};
+        for long in [false, true] {
+            let (seq, cnt) = tape_pair(long);
+            assert_eq!(
+                seq.iter_cost(&CostTable::msp430fr5994()),
+                cnt.iter_cost(&CostTable::msp430fr5994())
+            );
+            // Harvested, asked for more iterations than the buffer funds.
+            let mut a = Device::new(DeviceSpec::msp430fr5994(), PowerSystem::cap_100uf());
+            let mut b = a.clone();
+            let fa = a.consume_bundle(&seq, u64::MAX / 1024).unwrap();
+            let fb = b.consume_bundle(&cnt, u64::MAX / 1024).unwrap();
+            assert!(fa > 0 && fa < u64::MAX / 1024);
+            assert_eq!(fa, fb);
+            assert_eq!(a.charge_pj(), b.charge_pj());
+            assert_eq!(a.ops_consumed(), b.ops_consumed());
+            assert_eq!(a.trace().report(), b.trace().report());
+            // A funded single settle of the tape, continuous power.
+            let mut a = Device::new(DeviceSpec::msp430fr5994(), PowerSystem::continuous());
+            let mut b = a.clone();
+            a.consume_tape(&seq).unwrap();
+            b.consume_tape(&cnt).unwrap();
+            assert_eq!(a.ops_consumed(), b.ops_consumed());
+            assert_eq!(a.trace().report(), b.trace().report());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "counting tape fell short")]
+    fn a_counting_tape_cannot_replay_a_shortfall() {
+        use crate::{Device, DeviceSpec, PowerSystem};
+        let (_, cnt) = tape_pair(true);
+        let mut d = Device::new(DeviceSpec::msp430fr5994(), PowerSystem::cap_100uf());
+        while d.consume_bundle(&cnt, 1).unwrap() == 1 {}
+        let _ = d.consume_tape(&cnt);
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //! schedules stay reproducible. The defense is ECC-style guarding
 //! ([`Device::guard_span`]): legitimate writes transparently refresh a
 //! shadow of each guarded word's intended value, injected faults bypass
-//! it, and [`Device::verify_word`] compares the two on read. Detection,
+//! it, and [`Device::verify_word`] compares the two on read. Guard
+//! membership is one bit per FRAM word, so stores and verifies of
+//! unguarded words (all bulk data) decide in O(1). Detection,
 //! bounded-retry recovery accounting, and the unrecoverable verdict live
 //! on the device ([`Device::note_corruption`]); the runtimes decide what
 //! to scrub and when to give up.
@@ -407,6 +409,15 @@ pub struct Device {
     /// detects corruption. Empty (zero overhead) unless guards are
     /// registered.
     guard_shadow: Vec<(u32, i16)>,
+    /// Guard membership, one bit per FRAM word (bit `a % 64` of word
+    /// `a / 64`), sized to the highest guarded word. Every store tests
+    /// it in O(1) before touching `guard_shadow`, so unguarded stores
+    /// (all activation and partial-sum traffic) never search.
+    guard_bits: Vec<u64>,
+    /// `true` once any [`FaultPlan`] has been armed: from then on FRAM
+    /// may diverge from the guard shadow, and a body re-run could observe
+    /// (and repair) different state than the first run did.
+    faults_ever_armed: bool,
     /// Memory faults injected so far (bit flips + stuck-at armings).
     mem_faults_injected: u64,
     /// Corruption detections reported via [`Device::note_corruption`].
@@ -443,6 +454,8 @@ impl Device {
             torn_pending: false,
             stuck: Vec::new(),
             guard_shadow: Vec::new(),
+            guard_bits: Vec::new(),
+            faults_ever_armed: false,
             mem_faults_injected: 0,
             corruption_detected: 0,
             corruption_budget: CORRUPTION_RETRY_LIMIT,
@@ -463,9 +476,19 @@ impl Device {
     /// [`FaultPlan`] and [`FaultKind`]); an unarmed device behaves
     /// bit-identically to one that never heard of fault injection.
     pub fn arm_faults(&mut self, plan: &FaultPlan) {
+        self.faults_ever_armed = true;
         self.fault_queue = plan.targets.clone();
         // Descending, so pop() yields the next (smallest) target.
         self.fault_queue.reverse();
+    }
+
+    /// `true` once [`Device::arm_faults`] has ever been called on this
+    /// device (or the device it was cloned from). Until then no injected
+    /// fault can have touched FRAM, so every guarded word verifies and a
+    /// host-side body re-executes identically; see
+    /// [`OpBundle::counting`].
+    pub fn faults_ever_armed(&self) -> bool {
+        self.faults_ever_armed
     }
 
     /// Number of armed fault targets that have not fired yet.
@@ -797,13 +820,14 @@ impl Device {
             PowerSystem::Harvested(_) => {
                 let (_, per_iter) = bundle.iter_cost(&self.spec.costs);
                 #[cfg(debug_assertions)]
-                for e in bundle.ops() {
-                    let c = self.spec.costs.cost(e.op);
+                for op in Op::ALL {
+                    let c = self.spec.costs.cost(op);
                     debug_assert!(
-                        c.energy_pj > 0 || c.cycles == 0,
-                        "bundled op {:?} costs {} cycles but zero energy (fix the \
+                        Phase::ALL.iter().all(|&p| bundle.count(p, op) == 0)
+                            || c.energy_pj > 0
+                            || c.cycles == 0,
+                        "bundled op {op:?} costs {} cycles but zero energy (fix the \
                          cost table)",
-                        e.op,
                         c.cycles
                     );
                 }
@@ -831,11 +855,13 @@ impl Device {
         }
         // Trace cells are plain accumulators, so charging the ordered
         // sequence and charging aggregate counts are bit-identical.
-        // Small bundles (a loop iteration) walk their few entries;
-        // long recorded tapes charge per (phase, op) cell so settling
-        // stays O(op classes) regardless of tape length.
-        if bundle.ops().len() <= 2 * Op::COUNT {
-            for e in bundle.ops() {
+        // Small sequenced bundles (a loop iteration) walk their few
+        // entries; counting tapes and long sequenced ones charge per
+        // (phase, op) cell so settling stays O(op classes) regardless of
+        // tape length.
+        let seq = bundle.ops();
+        if !seq.is_empty() && seq.len() <= 2 * Op::COUNT {
+            for e in seq {
                 let cost = self.spec.costs.cost(e.op);
                 self.trace
                     .charge(self.region, e.phase, e.op, e.count * fit, cost);
@@ -892,17 +918,29 @@ impl Device {
     /// For loop bodies whose op sequence is data-dependent but which have
     /// no durable side effects before a later commit (the Alpaca redo-log
     /// bodies): the body executes host-side while recording every op it
-    /// would have consumed, then settles the tape once.
+    /// would have consumed, then settles the tape once. A counting tape
+    /// ([`OpBundle::counting`]) settles here only when funded; to find
+    /// the brown-out op, settle it with [`Device::consume_bundle`] first
+    /// and, on a shortfall, re-record the body into a sequenced tape.
     ///
     /// # Errors
     ///
     /// Returns [`PowerFailure`] when the tape does not fit the remaining
     /// charge (the portion that fits is charged, exactly as the scalar
     /// execution would have before dying) or the device is off.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a counting tape falls short: it has no sequence to
+    /// replay.
     pub fn consume_tape(&mut self, tape: &OpBundle) -> Result<(), PowerFailure> {
         if self.consume_bundle(tape, 1)? == 1 {
             return Ok(());
         }
+        assert!(
+            tape.is_sequenced(),
+            "a counting tape fell short: re-record it sequenced to replay"
+        );
         // Shortfall: the replay below must brown out before completing,
         // charging exactly the scalar prefix.
         for e in tape.ops() {
@@ -1075,16 +1113,18 @@ impl Device {
     // intended to store, then lands the value through any stuck-at
     // cells. Injected faults mutate `fram` directly (bypassing the
     // shadow), which is exactly the divergence read-time verification
-    // detects. With no guards and no stuck cells both helpers reduce to
-    // a plain array store, so the fault-free fast path is unchanged.
+    // detects. An unguarded store costs one membership-bit test and no
+    // shadow search; with no stuck cells it is then a plain array store.
 
     /// Stores `v` at raw FRAM index `addr` as a legitimate write.
     #[inline]
     fn nv_store(&mut self, addr: u32, v: i16) {
-        if !self.guard_shadow.is_empty() {
-            if let Ok(k) = self.guard_shadow.binary_search_by_key(&addr, |e| e.0) {
-                self.guard_shadow[k].1 = v;
-            }
+        if self.is_guarded(addr) {
+            let k = self
+                .guard_shadow
+                .binary_search_by_key(&addr, |e| e.0)
+                .expect("a guarded word has a shadow");
+            self.guard_shadow[k].1 = v;
         }
         let v = if self.stuck.is_empty() {
             v
@@ -1092,6 +1132,22 @@ impl Device {
             self.stuck_adjust(addr, v)
         };
         self.fram[addr as usize] = v;
+    }
+
+    /// Stores `data` at consecutive FRAM words from `base` as legitimate
+    /// writes: one block copy when the span holds no guarded word and no
+    /// stuck cell (a bulk weight flash), word by word otherwise.
+    fn nv_store_block(&mut self, base: u32, data: &[Q15]) {
+        if self.span_is_plain(base, data.len() as u32) {
+            let dst = &mut self.fram[base as usize..base as usize + data.len()];
+            for (d, q) in dst.iter_mut().zip(data) {
+                *d = q.raw();
+            }
+        } else {
+            for (i, q) in data.iter().enumerate() {
+                self.nv_store(base + i as u32, q.raw());
+            }
+        }
     }
 
     /// Forces every stuck bit registered for `addr` in a value about to
@@ -1414,9 +1470,7 @@ impl Device {
         );
         let (fit, r) = self.consume_upto(Op::FramWrite, len as u64);
         let base = buf.base + offset;
-        for (i, q) in data.iter().take(fit as usize).enumerate() {
-            self.nv_store(base + i as u32, q.raw());
-        }
+        self.nv_store_block(base, &data[..fit as usize]);
         if r.is_err() && (fit as u32) < len {
             // A torn-write brown-out tears the first word that did NOT
             // fit: the store the failure interrupted.
@@ -1493,9 +1547,7 @@ impl Device {
     /// Panics if `data` is longer than `buf`.
     pub fn flash(&mut self, buf: FramBuf, data: &[Q15]) {
         assert!(data.len() <= buf.len as usize, "flash overflows buffer");
-        for (i, q) in data.iter().enumerate() {
-            self.nv_store(buf.base + i as u32, q.raw());
-        }
+        self.nv_store_block(buf.base, data);
     }
 
     /// Installs a single counter word without consuming energy (flash-time
@@ -1577,7 +1629,7 @@ impl Device {
         self.consume(Op::DmaSetup)?;
         let (fit, r) = self.consume_upto(Op::DmaWord, src.len as u64);
         let (s, d, n) = (src.base as usize, dst.base as usize, fit as usize);
-        if self.guard_shadow.is_empty() && self.stuck.is_empty() {
+        if self.span_is_plain(dst.base, fit as u32) {
             self.fram[d..d + n].copy_from_slice(&self.sram[s..s + n]);
         } else {
             for i in 0..n {
@@ -1666,14 +1718,47 @@ impl Device {
     // charged), while injected faults (bit flips, stuck cells, torn
     // stores) mutate the array behind the shadow's back. Runtimes call
     // [`Device::verify_word`] at control-read chokepoints to surface the
-    // divergence. A device with no registered guards has zero overhead
-    // and bit-identical behavior.
+    // divergence. Membership is one bit per FRAM word (`guard_bits`), so
+    // every store and every verify of an *unguarded* word decides in
+    // O(1) without searching the shadow; only guarded control words pay
+    // the shadow lookup. A device with no registered guards has
+    // bit-identical behavior.
+
+    /// O(1) guard membership test of raw FRAM index `addr`.
+    #[inline]
+    fn is_guarded(&self, addr: u32) -> bool {
+        self.guard_bits
+            .get((addr / 64) as usize)
+            .is_some_and(|w| w >> (addr % 64) & 1 != 0)
+    }
+
+    /// `true` when no word of the `len`-word span at `base` is guarded or
+    /// holds a stuck cell, so a store there may bypass [`Device::nv_store`].
+    fn span_is_plain(&self, base: u32, len: u32) -> bool {
+        let end = base + len;
+        let guarded = len > 0
+            && (base / 64..=(end - 1) / 64).any(|word| {
+                // The bits of this bitmap word that fall inside the span.
+                let lo = base.max(word * 64) - word * 64;
+                let hi = end.min(word * 64 + 64) - word * 64;
+                let mask = (u64::MAX >> (64 - (hi - lo))) << lo;
+                self.guard_bits
+                    .get(word as usize)
+                    .is_some_and(|w| w & mask != 0)
+            });
+        !guarded && self.stuck.iter().all(|&(a, _, _)| a < base || a >= end)
+    }
 
     /// Registers `len` consecutive FRAM words starting at `addr` under
     /// ECC guarding, snapshotting their current contents as the intended
     /// values. Re-registering a guarded word refreshes its snapshot.
     pub fn guard_span(&mut self, addr: NvAddr, len: u32) {
         for a in addr.0..addr.0 + len {
+            let word = (a / 64) as usize;
+            if word >= self.guard_bits.len() {
+                self.guard_bits.resize(word + 1, 0);
+            }
+            self.guard_bits[word] |= 1 << (a % 64);
             let v = self.fram[a as usize];
             match self.guard_shadow.binary_search_by_key(&a, |e| e.0) {
                 Ok(k) => self.guard_shadow[k].1 = v,
@@ -1691,10 +1776,8 @@ impl Device {
     /// shadow, or is not guarded at all. No energy: the controller
     /// verifies check bits inside the read that was already charged.
     pub fn verify_at(&self, addr: NvAddr) -> bool {
-        match self.guard_shadow.binary_search_by_key(&addr.0, |e| e.0) {
-            Ok(k) => self.guard_shadow[k].1 == self.fram[addr.0 as usize],
-            Err(_) => true,
-        }
+        self.guarded_intended(addr)
+            .is_none_or(|v| v as i16 == self.fram[addr.0 as usize])
     }
 
     /// ECC read check of a counter word; see [`Device::verify_at`].
@@ -1705,6 +1788,9 @@ impl Device {
     /// The guard shadow's intended value for `addr`, if the word is
     /// guarded — what ECC correction would reconstruct.
     pub fn guarded_intended(&self, addr: NvAddr) -> Option<u16> {
+        if !self.is_guarded(addr.0) {
+            return None;
+        }
         self.guard_shadow
             .binary_search_by_key(&addr.0, |e| e.0)
             .ok()
@@ -2662,6 +2748,89 @@ mod tests {
         // Scrubbing with the intended value restores a clean state.
         d.store_word(w, 42).unwrap();
         assert!(d.verify_word(w));
+    }
+
+    #[test]
+    fn dma_store_over_a_guarded_word_refreshes_its_shadow() {
+        let mut d = continuous();
+        // The destination straddles a 64-word membership block.
+        d.fram_alloc(50).unwrap();
+        let f = d.fram_alloc(40).unwrap();
+        let s = d.sram_alloc(40).unwrap();
+        d.guard_span(f.addr(20), 1);
+        assert!(!d.span_is_plain(f.base, f.len));
+        assert!(
+            d.span_is_plain(f.base, 20),
+            "span ends just before the guard"
+        );
+        assert!(
+            d.span_is_plain(f.base + 21, 19),
+            "span starts just after it"
+        );
+        let data: Vec<Q15> = (0..40).map(|i| Q15::from_raw(100 + i)).collect();
+        d.sram_write_block(s, 0, &data).unwrap();
+        d.dma_sram_to_fram(s, f).unwrap();
+        assert_eq!(d.peek(f), data);
+        assert!(
+            d.verify_at(f.addr(20)),
+            "the DMA store refreshed the shadow"
+        );
+        assert_eq!(d.guarded_intended(f.addr(20)), Some(120));
+    }
+
+    #[test]
+    fn block_stores_over_a_guarded_word_refresh_its_shadow() {
+        let mut d = continuous();
+        let f = d.fram_alloc(8).unwrap();
+        d.guard_span(f.addr(3), 1);
+        let data: Vec<Q15> = (0..8).map(|i| Q15::from_raw(10 + i)).collect();
+        d.flash(f, &data);
+        assert_eq!(d.peek(f), data);
+        assert_eq!(d.guarded_intended(f.addr(3)), Some(13));
+        d.fram_write_block(f, 2, &data[..4]).unwrap();
+        assert_eq!(d.guarded_intended(f.addr(3)), Some(11));
+        assert!(d.verify_at(f.addr(3)));
+    }
+
+    #[test]
+    fn dma_store_over_an_unguarded_span_leaves_guards_alone() {
+        let mut d = continuous();
+        let w = d.fram_alloc_word().unwrap();
+        d.flash_word(w, 9);
+        d.guard_word(w);
+        let f = d.fram_alloc(16).unwrap();
+        let s = d.sram_alloc(16).unwrap();
+        assert!(d.span_is_plain(f.base, f.len));
+        let data = fxp::vecops::quantize(&[0.5; 16]);
+        d.sram_write_block(s, 0, &data).unwrap();
+        d.dma_sram_to_fram(s, f).unwrap();
+        assert_eq!(d.peek(f), data);
+        assert_eq!(d.peek_word(w), 9);
+        assert!(d.verify_word(w));
+        assert_eq!(d.guarded_intended(f.addr(0)), None);
+        assert!(d.verify_at(f.addr(0)), "unguarded words always verify");
+    }
+
+    #[test]
+    fn dma_store_over_a_stuck_cell_takes_the_per_word_path() {
+        let mut d = continuous();
+        let f = d.fram_alloc(8).unwrap();
+        let s = d.sram_alloc(8).unwrap();
+        let ops = d.ops_consumed();
+        d.arm_faults(&FaultPlan::faults([(
+            ops,
+            FaultKind::StuckAt {
+                addr: f.addr(5),
+                bit: 0,
+                high: true,
+            },
+        )]));
+        d.consume(Op::Alu).unwrap();
+        assert!(!d.span_is_plain(f.base, f.len));
+        d.dma_sram_to_fram(s, f).unwrap();
+        let out = d.peek(f);
+        assert_eq!(out[4].raw(), SRAM_GARBAGE);
+        assert_eq!(out[5].raw(), SRAM_GARBAGE | 1, "stuck bit forced");
     }
 
     #[test]

@@ -19,8 +19,10 @@ use sonic_tails::dnn::model::Model;
 use sonic_tails::dnn::quant::{quantize, QModel};
 use sonic_tails::dnn::tensor::Tensor;
 use sonic_tails::fxp::Q15;
-use sonic_tails::mcu::{DeviceSpec, HarvestProfile, PowerSystem};
+use sonic_tails::intermittent::{AlpacaRt, RuntimeCtx, TaskGraph, TaskId, Transition};
+use sonic_tails::mcu::{Device, DeviceSpec, HarvestProfile, Op, PowerSystem, TraceReport};
 use sonic_tails::sonic::exec::{run_inference, Backend, InferenceOutcome, TailsConfig};
+use sonic_tails::sonic::{deploy, tiled};
 
 fn fnv(h: &mut u64, x: u64) {
     for b in x.to_le_bytes() {
@@ -39,24 +41,7 @@ fn outcome_digest(o: &InferenceOutcome) -> u64 {
         fnv(&mut h, q.raw() as u16 as u64);
     }
     fnv(&mut h, o.class.map(|c| c as u64 + 1).unwrap_or(0));
-    fnv(&mut h, o.trace.live_cycles);
-    fnv(&mut h, o.trace.dead_secs.to_bits());
-    fnv(&mut h, o.trace.reboots);
-    fnv(&mut h, o.trace.total_energy_pj);
-    for r in &o.trace.regions {
-        for b in r.name.as_bytes() {
-            fnv(&mut h, *b as u64);
-        }
-        fnv(&mut h, r.kernel_cycles);
-        fnv(&mut h, r.control_cycles);
-        fnv(&mut h, r.kernel_energy_pj);
-        fnv(&mut h, r.control_energy_pj);
-        fnv(&mut h, r.index_write_energy_pj);
-        for (op, e) in &r.energy_by_op {
-            fnv(&mut h, op.index() as u64);
-            fnv(&mut h, *e);
-        }
-    }
+    fnv_trace(&mut h, &o.trace);
     if let Some(s) = &o.stats {
         fnv(&mut h, s.transitions);
         fnv(&mut h, s.body_attempts);
@@ -68,6 +53,29 @@ fn outcome_digest(o: &InferenceOutcome) -> u64 {
         }
     }
     h
+}
+
+/// Folds a trace report into `h`: totals plus the full per-region
+/// breakdown.
+fn fnv_trace(h: &mut u64, t: &TraceReport) {
+    fnv(h, t.live_cycles);
+    fnv(h, t.dead_secs.to_bits());
+    fnv(h, t.reboots);
+    fnv(h, t.total_energy_pj);
+    for r in &t.regions {
+        for b in r.name.as_bytes() {
+            fnv(h, *b as u64);
+        }
+        fnv(h, r.kernel_cycles);
+        fnv(h, r.control_cycles);
+        fnv(h, r.kernel_energy_pj);
+        fnv(h, r.control_energy_pj);
+        fnv(h, r.index_write_energy_pj);
+        for (op, e) in &r.energy_by_op {
+            fnv(h, op.index() as u64);
+            fnv(h, *e);
+        }
+    }
 }
 
 /// CNN with dense conv, relu, pool, a pruned (sparse) FC, and a dense FC:
@@ -360,4 +368,129 @@ fn backend_traces_match_scalar_golden_digests() {
 #[test]
 fn stateful_traces_match_scalar_golden_digests() {
     check_golden(&scenario_digests(&[Backend::Stateful]), GOLDEN_STATEFUL);
+}
+
+// ----- Alpaca body settle shortfall ----------------------------------
+//
+// A Tile-N body runs host-side and settles its op tape at the end; when
+// the buffer cannot cover the tape the settle must brown out on exactly
+// the op a one-consume-per-op execution dies on. The sweep below lands
+// that shortfall on every op of one mid-layer body, and pins what each
+// crash leaves behind against values recorded from the
+// record-the-whole-sequence implementation.
+
+/// Drives `steps` bodies of `g` to a committed transition (rebooting
+/// through any brown-out, as the scheduler would) and returns the task
+/// the next body belongs to.
+fn drive_bodies(
+    g: &mut TaskGraph<AlpacaRt>,
+    rt: &mut AlpacaRt,
+    dev: &mut Device,
+    steps: usize,
+) -> TaskId {
+    let mut cur = 0;
+    for _ in 0..steps {
+        let t = loop {
+            match g.run_body(cur, dev, rt) {
+                Ok(t) => break t,
+                Err(_) => {
+                    rt.on_power_failure(dev, false);
+                    dev.reboot().expect("harvester refills");
+                }
+            }
+        };
+        while rt
+            .commit(dev)
+            .and_then(|_| dev.consume(Op::TaskTransition))
+            .is_err()
+        {
+            rt.on_power_failure(dev, true);
+            dev.reboot().expect("harvester refills");
+        }
+        rt.after_commit(dev);
+        match t {
+            Transition::To(next) => cur = next,
+            Transition::Done => panic!("model finished before the swept body"),
+        }
+    }
+    cur
+}
+
+/// Sweeps the starting charge of one Tile-`tile` body on a 100 uF device
+/// in `Nop`-sized steps, from enough to settle the whole tape down to
+/// nothing. Every op the body charges costs at least one `Nop`, so the
+/// sweep browns out at every op of the body. Returns the digest over all
+/// trials (completion, `ops_consumed`, the brown-out's op index relative
+/// to the body, the epoch report and the FRAM image), the body's op
+/// count, and the number of distinct body ops a brown-out landed on.
+fn shortfall_sweep(tile: u32) -> (u64, u64, u64) {
+    let (qm, input) = model_cnn();
+    let mut dev = Device::new(DeviceSpec::msp430fr5994(), PowerSystem::cap_100uf());
+    let dm = deploy(&mut dev, &qm).expect("model fits");
+    dm.load_input(&mut dev, &input);
+    let mut rt = AlpacaRt::new(&mut dev).expect("FRAM for commit flag");
+    let mut g = tiled::build(&dm, tile);
+    let id = drive_bodies(&mut g, &mut rt, &mut dev, 30);
+    let nop_pj = dev.spec().costs.cost(Op::Nop).energy_pj;
+
+    // The whole body's energy and op count, from a run that settles.
+    let (body_pj, body_ops) = {
+        let (mut d, mut r) = (dev.clone(), rt.clone());
+        let (c0, o0) = (d.charge_pj(), d.ops_consumed());
+        g.run_body(id, &mut d, &mut r)
+            .expect("a full buffer settles");
+        (c0 - d.charge_pj(), d.ops_consumed() - o0)
+    };
+    let first = (dev.charge_pj() - body_pj).saturating_sub(nop_pj) / nop_pj;
+    let last = dev.charge_pj() / nop_pj;
+
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut hit = std::collections::BTreeSet::new();
+    for k in first..=last {
+        let (mut d, mut r) = (dev.clone(), rt.clone());
+        d.begin_epoch();
+        d.consume_n(Op::Nop, k)
+            .expect("drain stays within the buffer");
+        let start = d.ops_consumed();
+        let ok = g.run_body(id, &mut d, &mut r).is_ok();
+        fnv(&mut h, ok as u64);
+        fnv(&mut h, d.ops_consumed() - start);
+        if !ok {
+            let b = d.last_brownout().expect("a failed settle browns out");
+            assert!(!b.injected, "no fault plan is armed");
+            fnv(&mut h, b.op_index - start);
+            fnv(&mut h, b.op.index() as u64);
+            hit.insert(b.op_index - start);
+        }
+        fnv_trace(&mut h, &d.epoch_report());
+        for w in d.fram_image() {
+            fnv(&mut h, *w as u16 as u64);
+        }
+    }
+    (h, body_ops, hit.len() as u64)
+}
+
+/// Golden `(tile, sweep digest, body ops)` recorded from the
+/// implementation that taped every body's full op sequence.
+const GOLDEN_SHORTFALL: &[(u32, u64, u64)] =
+    &[(8, 0x955049eaba82981c, 337), (32, 0xdc8385d86ca8a08f, 1244)];
+
+#[test]
+fn tiled_settle_shortfall_browns_out_on_the_scalar_op() {
+    for &(tile, golden, golden_ops) in GOLDEN_SHORTFALL {
+        let (digest, body_ops, hit) = shortfall_sweep(tile);
+        if std::env::var("GOLDEN_PRINT").is_ok() {
+            println!("    ({tile}, {digest:#018x}, {body_ops}),");
+            continue;
+        }
+        assert_eq!(body_ops, golden_ops, "Tile-{tile}: body op count moved");
+        assert_eq!(
+            hit, body_ops,
+            "Tile-{tile}: sweep must brown out at every body op"
+        );
+        assert_eq!(
+            digest, golden,
+            "Tile-{tile}: a shortfall crash state diverged"
+        );
+    }
 }

@@ -21,7 +21,7 @@
 //! - `BATCH_LANES=l` — lockstep batching lane width (default 8 with the
 //!   `batch` feature; `1` forces scalar metering). Results and the fleet
 //!   digest are bit-identical at every width — continuous fault-free
-//!   cells just run `(l-1)/l` of their inferences as data-plane twins
+//!   cells just run `(l-1)/l` of their inferences as host-reference twins
 //!   (see `sonic::lockstep`).
 //! - `FLEET_STATEFUL=1` — append the stateful progress-embedding backend
 //!   (`sonic::stateful`) as a seventh column. Off by default: the extra

@@ -10,7 +10,7 @@
 //! The lockstep section sweeps the batching lane width (1/4/8) over a
 //! 32-input batch per backend via [`sonic::run_inference_batch`]: lane
 //! width 1 is all metered runs, width L serves `(L-1)/L` of the runs as
-//! bit-exact data-plane twins once the trace fixed point settles (see
+//! bit-exact host-reference twins once the trace fixed point settles (see
 //! `sonic::lockstep`). Same outcomes at every width; only the µs per
 //! simulated inference moves.
 //!

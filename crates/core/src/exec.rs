@@ -400,9 +400,10 @@ mod tests {
     use super::*;
     use dnn::layers::Layer;
     use dnn::model::Model;
-    use dnn::quant::quantize;
+    use dnn::quant::{quantize, HostReference, RoundingOrder};
     use dnn::tensor::Tensor;
     use rand::SeedableRng;
+    use std::num::NonZeroUsize;
 
     /// A small CNN with a pruned (sparse) FC layer, exercising every
     /// kernel kind: conv, relu, pool, sparse dense, dense.
@@ -449,18 +450,27 @@ mod tests {
     #[test]
     fn all_backends_complete_on_continuous_power() {
         let (qm, input) = tiny_qmodel();
-        let host = qm.forward_host(&input);
-        let host_class = fxp::vecops::argmax(&host);
+        let host_class = fxp::vecops::argmax(&qm.forward_host(&input));
         for b in Backend::paper_suite() {
-            let out = run_inference(&qm, &input, &spec(), PowerSystem::continuous(), &b);
+            let mut dev = Device::new(spec(), PowerSystem::continuous());
+            let dm = deploy(&mut dev, &qm).expect("fits");
+            dm.load_input(&mut dev, &input);
+            let out = run_deployed(&mut dev, &dm, &b);
             assert!(out.completed, "{b} must complete on continuous power");
-            assert_eq!(out.output.len(), host.len());
-            // All implementations compute the same network; rounding-order
-            // differences stay small.
-            for (a, h) in out.output.iter().zip(&host) {
-                let diff = (a.to_f32() - h.to_f32()).abs();
-                assert!(diff < 0.02, "{b}: output diverges by {diff}");
-            }
+            // All implementations compute the same network; each matches
+            // the host reference of its own rounding order bit for bit.
+            let reference = |order| HostReference::new(&qm, order).forward(&input);
+            let want = match b {
+                Backend::Baseline => qm.forward_host(&input),
+                Backend::Tiled(_) | Backend::Sonic => reference(RoundingOrder::LoopOrdered),
+                Backend::Tails(_) => {
+                    let tile = NonZeroUsize::new(dev.peek_word(dm.calib).into())
+                        .expect("TAILS calibrated its tile");
+                    reference(RoundingOrder::LeaChunked(tile))
+                }
+                _ => unreachable!("{b} is not in the paper suite"),
+            };
+            assert_eq!(out.output, want, "{b}: output differs from its reference");
             assert_eq!(out.class, host_class, "{b}: classification changed");
         }
     }

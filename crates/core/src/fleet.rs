@@ -498,6 +498,7 @@ pub fn run_shard_with_lanes(
     let mut dev = Device::new(job.spec.clone(), power.clone());
     let dm = deploy(&mut dev, job.qmodel).expect("model must fit in FRAM");
     let mut runner = BatchRunner::new(
+        job.qmodel,
         backend,
         &power,
         if job.faults.is_some() { 1 } else { lanes },

@@ -30,8 +30,9 @@
 //!   system and returns the result plus the per-run energy/time trace.
 //! - [`lockstep`]: lockstep batching — once a deployment's per-run trace
 //!   reaches its fixed point on continuous fault-free power, further runs
-//!   execute as bit-exact data-plane twins on a host FRAM image
-//!   (periodically re-validated by metered leader runs), which is what
+//!   execute as bit-exact twins — one call to the backend's host
+//!   reference in `dnn::quant` (periodically re-validated by metered
+//!   leader runs) — which is what
 //!   makes population-scale fleets cheap to simulate.
 //! - [`fleet`]: the population-scale harness — many test-set inputs ×
 //!   backends × power systems over reusable deployments, fanned across

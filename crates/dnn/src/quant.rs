@@ -13,11 +13,15 @@
 //!
 //! The resulting [`QModel`] is the single source of truth that every
 //! implementation in the evaluation — naïve baseline, tiled Alpaca, SONIC,
-//! TAILS — deploys and executes.
+//! TAILS — deploys and executes. The implementations differ only in the
+//! order in which they round and saturate partial sums; each
+//! [`RoundingOrder`] has one host reference ([`HostReference`]) that
+//! reproduces its backends' logits bit for bit.
 
 use crate::model::Model;
 use crate::tensor::Tensor;
 use fxp::{Accum, Q15};
+use std::num::NonZeroUsize;
 
 /// Quantized layer kinds.
 #[derive(Clone, Debug)]
@@ -376,9 +380,10 @@ pub fn quantize(model: &mut Model, input_shape: &[usize], calib: &[Tensor]) -> Q
     }
 }
 
-/// Reusable buffers for [`QModel::forward_host_with`], so repeated host
-/// inferences (calibration sweeps, GENESIS accuracy evaluation) allocate
-/// nothing in steady state.
+/// Reusable buffers for [`QModel::forward_host_with`] and
+/// [`HostReference::forward_with`], so repeated host inferences
+/// (calibration sweeps, GENESIS accuracy evaluation, lockstep twins)
+/// allocate nothing in steady state beyond the returned logits.
 #[derive(Clone, Debug, Default)]
 pub struct HostScratch {
     /// One output row of wide accumulators.
@@ -389,6 +394,97 @@ pub struct HostScratch {
     ping: Vec<Q15>,
     /// Activation pong buffer.
     pong: Vec<Q15>,
+}
+
+/// The order in which an implementation rounds and saturates Q1.15
+/// partial sums. Every backend computes the same network; this is the
+/// only thing that tells their logits apart.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RoundingOrder {
+    /// One exact accumulator per output element, rounded once
+    /// ([`QModel::forward_host`]): the naïve baseline.
+    Exact,
+    /// Loop-ordered buffering (§5): each output element is a saturating
+    /// Q1.15 chain over its taps in order, every product rounded on its
+    /// own. SONIC, SONIC-no-undo and Tile-N. Sparse layers chain over
+    /// their nonzeros (ascending column for FC layers).
+    LoopOrdered,
+    /// TAILS (§7) at a calibrated LEA/DMA tile of this many words: each
+    /// (channel, kernel-row) FIR sum is exact, rounded to Q1.15, and the
+    /// sums are joined by saturating adds (sparse filters run padded
+    /// dense). Dense FC layers do the same per tile-sized chunk of each
+    /// weight row; sparse FC layers fall back to the loop-ordered chain.
+    LeaChunked(NonZeroUsize),
+}
+
+/// The host reference of one [`RoundingOrder`] for one model: the
+/// bit-exact oracle for every backend that computes in that order.
+///
+/// Construction does the per-model preparation once (the loop-ordered
+/// order transposes dense FC weights to input-major rows, so each chain
+/// step is one contiguous pass over all outputs); [`HostScratch`] stays a
+/// plain buffer set that any reference or model may share.
+#[derive(Debug)]
+pub struct HostReference<'m> {
+    model: &'m QModel,
+    order: RoundingOrder,
+    /// Loop-ordered only: per layer, dense FC weights in input-major
+    /// order (empty for every other layer, and for the other orders).
+    fc_t: Vec<Vec<Q15>>,
+}
+
+impl<'m> HostReference<'m> {
+    /// Prepares `model`'s reference in `order`.
+    pub fn new(model: &'m QModel, order: RoundingOrder) -> Self {
+        let fc_t = match order {
+            RoundingOrder::LoopOrdered => model
+                .layers
+                .iter()
+                .map(|l| match l {
+                    QLayer::Dense(d) if d.sparse.is_none() => transpose_fc(d),
+                    _ => Vec::new(),
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        HostReference { model, order, fc_t }
+    }
+
+    /// The rounding order this reference reproduces.
+    pub fn order(&self) -> RoundingOrder {
+        self.order
+    }
+
+    /// Forward pass with fresh scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not match the input shape.
+    pub fn forward(&self, x: &[Q15]) -> Vec<Q15> {
+        self.forward_with(x, &mut HostScratch::default())
+    }
+
+    /// Forward pass through caller-provided scratch buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not match the input shape.
+    pub fn forward_with(&self, x: &[Q15], s: &mut HostScratch) -> Vec<Q15> {
+        self.model.forward_ordered(x, self.order, &self.fc_t, s)
+    }
+}
+
+/// A dense FC layer's `[out, in]` weights transposed to input-major
+/// `[in, out]`.
+fn transpose_fc(d: &QDense) -> Vec<Q15> {
+    let (out_n, in_n) = (d.dims[0], d.dims[1]);
+    let mut wt = vec![Q15::ZERO; out_n * in_n];
+    for o in 0..out_n {
+        for j in 0..in_n {
+            wt[j * out_n + o] = d.weights[o * in_n + j];
+        }
+    }
+    wt
 }
 
 impl QModel {
@@ -421,39 +517,61 @@ impl QModel {
     ///
     /// Panics if `x` does not match the input shape.
     pub fn forward_host_with(&self, x: &[Q15], s: &mut HostScratch) -> Vec<Q15> {
+        self.forward_ordered(x, RoundingOrder::Exact, &[], s)
+    }
+
+    /// The layer walk shared by every rounding order: `fc_t` holds the
+    /// input-major dense FC weights the loop-ordered kernels read (one
+    /// entry per layer; unused by the other orders).
+    fn forward_ordered(
+        &self,
+        x: &[Q15],
+        order: RoundingOrder,
+        fc_t: &[Vec<Q15>],
+        s: &mut HostScratch,
+    ) -> Vec<Q15> {
         let expect: usize = self.input_shape.iter().product();
         assert_eq!(x.len(), expect, "input size mismatch");
         let mut shape = self.input_shape.clone();
         s.ping.clear();
         s.ping.extend_from_slice(x);
-        for l in &self.layers {
+        for (i, l) in self.layers.iter().enumerate() {
             let out_shape = l.output_shape(&shape);
-            match l {
-                QLayer::Conv(c) => {
-                    conv_host_into(
-                        c,
-                        &s.ping,
-                        &shape,
-                        &mut s.acc_row,
-                        &mut s.tap_bases,
-                        &mut s.pong,
-                    );
-                    std::mem::swap(&mut s.ping, &mut s.pong);
+            match (l, order) {
+                (QLayer::Conv(c), RoundingOrder::Exact) => conv_host_into(
+                    c,
+                    &s.ping,
+                    &shape,
+                    &mut s.acc_row,
+                    &mut s.tap_bases,
+                    &mut s.pong,
+                ),
+                (QLayer::Conv(c), RoundingOrder::LoopOrdered) => {
+                    conv_loop_ordered_into(c, &s.ping, &shape, &mut s.tap_bases, &mut s.pong)
                 }
-                QLayer::Dense(d) => {
-                    dense_host_into(d, &s.ping, &mut s.pong);
-                    std::mem::swap(&mut s.ping, &mut s.pong);
+                (QLayer::Conv(c), RoundingOrder::LeaChunked(_)) => {
+                    conv_lea_chunked_into(c, &s.ping, &shape, &mut s.pong)
                 }
-                QLayer::Pool(p) => {
-                    pool_host_into(p, &s.ping, &shape, &mut s.pong);
-                    std::mem::swap(&mut s.ping, &mut s.pong);
+                (QLayer::Dense(d), RoundingOrder::Exact) => {
+                    dense_host_into(d, &s.ping, &mut s.pong)
                 }
-                QLayer::Relu => {
+                (QLayer::Dense(d), order) => match (&d.sparse, order) {
+                    (Some(csr), _) => sparse_fc_chain_into(d, csr, &s.ping, &mut s.pong),
+                    (None, RoundingOrder::LeaChunked(tile)) => {
+                        dense_lea_chunked_into(d, tile.get(), &s.ping, &mut s.pong)
+                    }
+                    (None, _) => dense_loop_ordered_into(d, &fc_t[i], &s.ping, &mut s.pong),
+                },
+                (QLayer::Pool(p), _) => pool_host_into(p, &s.ping, &shape, &mut s.pong),
+                (QLayer::Relu, _) => {
                     for v in s.ping.iter_mut() {
                         *v = v.relu();
                     }
                 }
-                QLayer::Flatten => {}
+                (QLayer::Flatten, _) => {}
+            }
+            if matches!(l, QLayer::Conv(_) | QLayer::Dense(_) | QLayer::Pool(_)) {
+                std::mem::swap(&mut s.ping, &mut s.pong);
             }
             shape = out_shape;
         }
@@ -577,15 +695,10 @@ pub fn conv_host_into(
                 }
             }
         }
-        Some(s) => {
+        Some(_) => {
             for f in 0..nf {
                 let bias = c.bias[f];
-                tap_bases.clear();
-                tap_bases.extend(
-                    s.taps[f]
-                        .iter()
-                        .map(|t| ((t.c as usize * h + t.ky as usize) * w + t.kx as usize, t.w)),
-                );
+                filter_taps(c, f, h, w, tap_bases);
                 for oy in 0..oh {
                     acc_row.fill(Accum::ZERO);
                     for &(base, tw) in tap_bases.iter() {
@@ -641,6 +754,148 @@ pub fn dense_host_into(d: &QDense, x: &[Q15], out: &mut Vec<Q15>) {
                 out.push(finish_acc(acc, d.shift, d.bias[o]));
             }
         }
+    }
+}
+
+/// Filter `f`'s taps flattened to (input offset of the tap's first
+/// output element, weight), in `(c, ky, kx)` order: the nonzero taps when
+/// the layer is deployed sparse, every tap otherwise.
+fn filter_taps(c: &QConv, f: usize, h: usize, w: usize, out: &mut Vec<(usize, Q15)>) {
+    let (nc, kh, kw) = (c.dims[1], c.dims[2], c.dims[3]);
+    out.clear();
+    match &c.sparse {
+        Some(s) => out.extend(
+            s.taps[f]
+                .iter()
+                .map(|t| ((t.c as usize * h + t.ky as usize) * w + t.kx as usize, t.w)),
+        ),
+        None => {
+            let ntaps = nc * kh * kw;
+            out.extend(
+                c.weights[f * ntaps..(f + 1) * ntaps]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &tw)| {
+                        let (cc, ky, kx) = (i / (kh * kw), i / kw % kh, i % kw);
+                        ((cc * h + ky) * w + kx, tw)
+                    }),
+            );
+        }
+    }
+}
+
+/// Loop-ordered convolution ([`RoundingOrder::LoopOrdered`]). The plane
+/// ping-pong of the device runtimes is pure dataflow: each output
+/// element's chain is independent of every other, so a whole output row
+/// advances one tap at a time as a contiguous (vectorizable) pass.
+fn conv_loop_ordered_into(
+    c: &QConv,
+    x: &[Q15],
+    shape: &[usize],
+    tap_bases: &mut Vec<(usize, Q15)>,
+    out: &mut Vec<Q15>,
+) {
+    let (nf, nc, kh, kw) = (c.dims[0], c.dims[1], c.dims[2], c.dims[3]);
+    let (h, w) = (shape[1], shape[2]);
+    assert_eq!(x.len(), nc * h * w, "conv input mismatch");
+    let (oh, ow) = (h - kh + 1, w - kw + 1);
+    out.resize(nf * oh * ow, Q15::ZERO);
+    for f in 0..nf {
+        filter_taps(c, f, h, w, tap_bases);
+        for oy in 0..oh {
+            let orow = &mut out[(f * oh + oy) * ow..(f * oh + oy + 1) * ow];
+            orow.fill(Q15::ZERO);
+            for &(base, tw) in tap_bases.iter() {
+                for (v, &xv) in orow.iter_mut().zip(&x[base + oy * w..base + oy * w + ow]) {
+                    *v += xv * tw;
+                }
+            }
+            for v in orow.iter_mut() {
+                *v = finish_acc(Accum::from_q15(*v), c.shift, c.bias[f]);
+            }
+        }
+    }
+}
+
+/// LEA-chunked convolution ([`RoundingOrder::LeaChunked`]): per output
+/// row, one exact FIR per (channel, kernel-row) over the padded-dense
+/// filter, each sum rounded and joined by a saturating add. All-zero
+/// filter rows are skipped (they add exactly zero).
+fn conv_lea_chunked_into(c: &QConv, x: &[Q15], shape: &[usize], out: &mut Vec<Q15>) {
+    let (nf, nc, kh, kw) = (c.dims[0], c.dims[1], c.dims[2], c.dims[3]);
+    let (h, w) = (shape[1], shape[2]);
+    assert_eq!(x.len(), nc * h * w, "conv input mismatch");
+    let (oh, ow) = (h - kh + 1, w - kw + 1);
+    out.resize(nf * oh * ow, Q15::ZERO);
+    for f in 0..nf {
+        for oy in 0..oh {
+            let orow = &mut out[(f * oh + oy) * ow..(f * oh + oy + 1) * ow];
+            orow.fill(Q15::ZERO);
+            for cc in 0..nc {
+                for ky in 0..kh {
+                    let tap0 = ((f * nc + cc) * kh + ky) * kw;
+                    let taps = &c.weights[tap0..tap0 + kw];
+                    if taps.iter().all(|t| t.is_zero()) {
+                        continue;
+                    }
+                    let xrow = &x[(cc * h + oy + ky) * w..(cc * h + oy + ky + 1) * w];
+                    fxp::vecops::fir_each(xrow, taps, orow, |v, a| *v += a.to_q15());
+                }
+            }
+            for v in orow.iter_mut() {
+                *v = finish_acc(Accum::from_q15(*v), c.shift, c.bias[f]);
+            }
+        }
+    }
+}
+
+/// Loop-ordered dense FC over input-major weights `wt` (see
+/// [`HostReference`]): every output's chain takes input `j`'s product in
+/// one contiguous pass.
+fn dense_loop_ordered_into(d: &QDense, wt: &[Q15], x: &[Q15], out: &mut Vec<Q15>) {
+    let (out_n, in_n) = (d.dims[0], d.dims[1]);
+    assert_eq!(x.len(), in_n, "dense input mismatch");
+    out.clear();
+    out.resize(out_n, Q15::ZERO);
+    for (j, &xj) in x.iter().enumerate() {
+        for (v, &tw) in out.iter_mut().zip(&wt[j * out_n..(j + 1) * out_n]) {
+            *v += xj * tw;
+        }
+    }
+    for (v, &b) in out.iter_mut().zip(&d.bias) {
+        *v = finish_acc(Accum::from_q15(*v), d.shift, b);
+    }
+}
+
+/// LEA-chunked dense FC: each weight row's exact dot product per
+/// `tile`-word chunk, rounded and joined by saturating adds.
+fn dense_lea_chunked_into(d: &QDense, tile: usize, x: &[Q15], out: &mut Vec<Q15>) {
+    let (out_n, in_n) = (d.dims[0], d.dims[1]);
+    assert_eq!(x.len(), in_n, "dense input mismatch");
+    out.clear();
+    for o in 0..out_n {
+        let row = &d.weights[o * in_n..(o + 1) * in_n];
+        let mut v = Q15::ZERO;
+        for (xs, ws) in x.chunks(tile).zip(row.chunks(tile)) {
+            v += fxp::vecops::dot(xs, ws).to_q15();
+        }
+        out.push(finish_acc(Accum::from_q15(v), d.shift, d.bias[o]));
+    }
+}
+
+/// Sparse FC as a saturating chain over each CSR row in ascending column
+/// order: the loop-ordered rounding of a pruned FC layer (the order in
+/// which SONIC's scatter reaches each output), shared by TAILS.
+fn sparse_fc_chain_into(d: &QDense, csr: &QCsr, x: &[Q15], out: &mut Vec<Q15>) {
+    assert_eq!(x.len(), d.dims[1], "dense input mismatch");
+    out.clear();
+    for (o, rows) in csr.row_ptr.windows(2).enumerate() {
+        let (lo, hi) = (rows[0] as usize, rows[1] as usize);
+        let mut v = Q15::ZERO;
+        for (&col, &val) in csr.col[lo..hi].iter().zip(&csr.val[lo..hi]) {
+            v += x[col as usize] * val;
+        }
+        out.push(finish_acc(Accum::from_q15(v), d.shift, d.bias[o]));
     }
 }
 
@@ -924,8 +1179,10 @@ mod tests {
 mod proptests {
     //! The deployment-correctness contract: the restructured kernels that
     //! every backend's host-side reference runs through must be
-    //! *byte-identical* to the original element-at-a-time loops, for both
-    //! the dense and the sparse representations.
+    //! *byte-identical* to element-at-a-time loops, for both the dense
+    //! and the sparse representations. The exact order's loops are the
+    //! public `*_host_reference` functions; the loop-ordered and
+    //! LEA-chunked ones are written out below.
 
     use super::*;
     use proptest::prelude::*;
@@ -993,8 +1250,155 @@ mod proptests {
         (dense, x)
     }
 
+    /// One layer as a model, run through `order`'s [`HostReference`].
+    fn reference(layer: QLayer, shape: Vec<usize>, order: RoundingOrder, x: &[Q15]) -> Vec<i16> {
+        let qm = QModel {
+            input_shape: shape,
+            layers: vec![layer],
+        };
+        let out = HostReference::new(&qm, order).forward(x);
+        out.iter().map(|q| q.raw()).collect()
+    }
+
+    /// Element-at-a-time loop-ordered convolution: one saturating chain
+    /// per output element over the filter's taps in `(c, ky, kx)` order
+    /// (the nonzero taps when sparse).
+    fn conv_loop_ordered_naive(c: &QConv, x: &[Q15], shape: &[usize]) -> Vec<i16> {
+        let [nf, nc, kh, kw] = c.dims;
+        let (h, w) = (shape[1], shape[2]);
+        let (oh, ow) = (h - kh + 1, w - kw + 1);
+        let mut out = Vec::new();
+        for f in 0..nf {
+            let taps: Vec<QTap> = match &c.sparse {
+                Some(s) => s.taps[f].clone(),
+                None => (0..nc * kh * kw)
+                    .map(|i| QTap {
+                        c: (i / (kh * kw)) as u16,
+                        ky: (i / kw % kh) as u16,
+                        kx: (i % kw) as u16,
+                        w: c.weights[f * nc * kh * kw + i],
+                    })
+                    .collect(),
+            };
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut v = Q15::ZERO;
+                    for t in &taps {
+                        let xi = (t.c as usize * h + oy + t.ky as usize) * w + ox + t.kx as usize;
+                        v = v.saturating_add(x[xi].saturating_mul(t.w));
+                    }
+                    out.push(finish_acc(Accum::from_q15(v), c.shift, c.bias[f]).raw());
+                }
+            }
+        }
+        out
+    }
+
+    /// Element-at-a-time LEA-chunked convolution: per output element, one
+    /// exact kernel-row sum per `(c, ky)` over the dense (zero-padded)
+    /// weights, each rounded and joined by a saturating add.
+    fn conv_lea_chunked_naive(c: &QConv, x: &[Q15], shape: &[usize]) -> Vec<i16> {
+        let [nf, nc, kh, kw] = c.dims;
+        let (h, w) = (shape[1], shape[2]);
+        let (oh, ow) = (h - kh + 1, w - kw + 1);
+        let mut out = Vec::new();
+        for f in 0..nf {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut v = Q15::ZERO;
+                    for cc in 0..nc {
+                        for ky in 0..kh {
+                            let mut acc = Accum::ZERO;
+                            for kx in 0..kw {
+                                let xi = (cc * h + oy + ky) * w + ox + kx;
+                                acc.mac(x[xi], c.weights[((f * nc + cc) * kh + ky) * kw + kx]);
+                            }
+                            v = v.saturating_add(acc.to_q15());
+                        }
+                    }
+                    out.push(finish_acc(Accum::from_q15(v), c.shift, c.bias[f]).raw());
+                }
+            }
+        }
+        out
+    }
+
+    /// Element-at-a-time dense FC in a non-exact order: a saturating chain
+    /// over each CSR row when sparse; otherwise, per `tile`-sized chunk of
+    /// the weight row, an exact dot product rounded and joined by a
+    /// saturating add (`tile = 1` is the loop-ordered chain).
+    #[allow(clippy::needless_range_loop)] // deliberately element-at-a-time
+    fn dense_chained_naive(d: &QDense, x: &[Q15], tile: usize) -> Vec<i16> {
+        let [out_n, in_n] = d.dims;
+        let mut out = Vec::new();
+        for o in 0..out_n {
+            let mut v = Q15::ZERO;
+            match &d.sparse {
+                Some(s) => {
+                    for i in s.row_ptr[o] as usize..s.row_ptr[o + 1] as usize {
+                        v = v.saturating_add(x[s.col[i] as usize].saturating_mul(s.val[i]));
+                    }
+                }
+                None => {
+                    for c0 in (0..in_n).step_by(tile) {
+                        let mut acc = Accum::ZERO;
+                        for j in c0..(c0 + tile).min(in_n) {
+                            acc.mac(x[j], d.weights[o * in_n + j]);
+                        }
+                        // A one-term sum rounds exactly like the product.
+                        v = v.saturating_add(acc.to_q15());
+                    }
+                }
+            }
+            out.push(finish_acc(Accum::from_q15(v), d.shift, d.bias[o]).raw());
+        }
+        out
+    }
+
+    fn tile(t: usize) -> RoundingOrder {
+        RoundingOrder::LeaChunked(NonZeroUsize::new(t).expect("nonzero tile"))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn loop_ordered_conv_matches_element_chain(seed in 0u64..100_000, sparse in any::<bool>()) {
+            let (conv, x, shape) = random_qconv(seed, sparse);
+            let want = conv_loop_ordered_naive(&conv, &x, &shape);
+            prop_assert_eq!(reference(QLayer::Conv(conv), shape, RoundingOrder::LoopOrdered, &x), want);
+        }
+
+        #[test]
+        fn lea_chunked_conv_matches_element_chain(
+            seed in 0u64..100_000,
+            sparse in any::<bool>(),
+            t in 1usize..48,
+        ) {
+            let (conv, x, shape) = random_qconv(seed, sparse);
+            let want = conv_lea_chunked_naive(&conv, &x, &shape);
+            prop_assert_eq!(reference(QLayer::Conv(conv), shape, tile(t), &x), want);
+        }
+
+        #[test]
+        fn loop_ordered_dense_matches_element_chain(seed in 0u64..100_000, sparse in any::<bool>()) {
+            let (dense, x) = random_qdense(seed, sparse);
+            let want = dense_chained_naive(&dense, &x, 1);
+            let shape = vec![dense.dims[1]];
+            prop_assert_eq!(reference(QLayer::Dense(dense), shape, RoundingOrder::LoopOrdered, &x), want);
+        }
+
+        #[test]
+        fn lea_chunked_dense_matches_element_chain(
+            seed in 0u64..100_000,
+            sparse in any::<bool>(),
+            t in 1usize..48,
+        ) {
+            let (dense, x) = random_qdense(seed, sparse);
+            let want = dense_chained_naive(&dense, &x, t);
+            let shape = vec![dense.dims[1]];
+            prop_assert_eq!(reference(QLayer::Dense(dense), shape, tile(t), &x), want);
+        }
 
         #[test]
         fn conv_host_matches_reference_bytewise(seed in 0u64..100_000, sparse in any::<bool>()) {

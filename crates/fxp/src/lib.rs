@@ -400,15 +400,46 @@ pub mod vecops {
     /// Panics if `taps` is empty or `src` is shorter than
     /// `acc.len() + taps.len() - 1`.
     pub fn fir_acc(src: &[Q15], taps: &[Q15], acc: &mut [Accum]) {
-        assert!(!taps.is_empty(), "fir_acc: empty taps");
+        fir_each(src, taps, acc, |a, s| *a = Accum(a.0 + s.0));
+    }
+
+    /// Exact FIR sums handed to a combiner: `f(&mut out[i], sum_j
+    /// src[i + j] * taps[j])` for every `i`, each sum at full product
+    /// precision. [`fir_acc`] adds the sums into wide accumulators; a
+    /// caller that rounds each sum to [`Q15`] before joining it (LEA FIR
+    /// output, §7) passes its own combiner.
+    ///
+    /// Three-tap filters (the paper's 3×3 kernels) take an `i32` path,
+    /// whose multiplies vectorize where `i64` ones do not. A product lies
+    /// in `(-2^30, 2^30]`, so the *negated* sum of two lies in
+    /// `[-2^31, 2^31)` and fits `i32` exactly; the third product joins in
+    /// `i64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `taps` is empty or `src` is shorter than
+    /// `out.len() + taps.len() - 1`.
+    #[inline]
+    pub fn fir_each<T>(src: &[Q15], taps: &[Q15], out: &mut [T], mut f: impl FnMut(&mut T, Accum)) {
+        assert!(!taps.is_empty(), "fir: empty taps");
         assert!(
-            src.len() + 1 >= acc.len() + taps.len(),
-            "fir_acc: src shorter than acc + taps - 1"
+            src.len() + 1 >= out.len() + taps.len(),
+            "fir: src shorter than out + taps - 1"
         );
-        for (i, a) in acc.iter_mut().enumerate() {
-            let window = &src[i..i + taps.len()];
-            for (&s, &t) in window.iter().zip(taps.iter()) {
-                a.mac(s, t);
+        let src = &src[..out.len() + taps.len() - 1];
+        if let [t0, t1, t2] = *taps {
+            let (t0, t1, t2) = (t0.0 as i32, t1.0 as i32, t2.0 as i32);
+            for (i, o) in out.iter_mut().enumerate() {
+                let neg01 = -(src[i].0 as i32 * t0) - src[i + 1].0 as i32 * t1;
+                f(o, Accum((src[i + 2].0 as i32 * t2) as i64 - neg01 as i64));
+            }
+        } else {
+            for (o, window) in out.iter_mut().zip(src.windows(taps.len())) {
+                let mut a = Accum::ZERO;
+                for (&s, &t) in window.iter().zip(taps) {
+                    a.mac(s, t);
+                }
+                f(o, a);
             }
         }
     }
@@ -613,6 +644,17 @@ mod tests {
             want.mac(row_b[i + 1], taps_b[1]);
             assert_eq!(a.raw(), want.raw(), "lane {i}");
         }
+    }
+
+    #[test]
+    fn three_tap_fir_stays_exact_at_full_scale() {
+        // `-1 · -1` three times: the pair-sum is 2^31, one past i32::MAX.
+        let src = [Q15::MIN; 3];
+        let mut acc = [Accum::ZERO];
+        vecops::fir_acc(&src, &[Q15::MIN; 3], &mut acc);
+        assert_eq!(acc[0].raw(), 3 << 30);
+        vecops::fir_acc(&src, &[Q15::MAX; 3], &mut acc);
+        assert_eq!(acc[0].raw(), (3 << 30) - 3 * 32767 * 32768);
     }
 
     #[test]

@@ -846,9 +846,7 @@ impl Device {
         Ok(fit)
     }
 
-    /// Settles `fit` funded iterations of `bundle` into the trace. Shared
-    /// by [`Device::consume_bundle`] and the lockstep batch applier so
-    /// both paths charge bit-identically.
+    /// Settles `fit` funded iterations of `bundle` into the trace.
     fn charge_bundle_trace(&mut self, bundle: &OpBundle, fit: u64) {
         if fit == 0 {
             return;
@@ -877,37 +875,6 @@ impl Device {
                 }
             }
         }
-    }
-
-    /// Applies a funded-iteration count a batch planner already computed:
-    /// decrements the buffer, advances the op counter, and settles the
-    /// trace exactly as [`Device::consume_bundle`] would have — minus the
-    /// per-lane funding division the planner did in bulk.
-    ///
-    /// Callers must only hand this a lane the planner proved *uniform*:
-    /// device on, no armed fault targets, and `fit` equal to what
-    /// [`Device::consume_bundle`] would return (debug assertions check
-    /// all three).
-    pub(crate) fn consume_bundle_funded(&mut self, bundle: &OpBundle, fit: u64, per_iter_pj: u64) {
-        debug_assert!(self.on, "funded apply on an off lane");
-        debug_assert!(
-            self.fault_queue.is_empty(),
-            "funded apply on a lane with armed faults"
-        );
-        if let PowerSystem::Harvested(_) = &self.power {
-            debug_assert_eq!(
-                per_iter_pj,
-                bundle.iter_cost(&self.spec.costs).1,
-                "planner and lane disagree on the iteration energy"
-            );
-            debug_assert!(
-                per_iter_pj == 0 || fit <= self.charge_pj / per_iter_pj,
-                "funded count exceeds the lane's buffer"
-            );
-            self.charge_pj -= fit * per_iter_pj;
-        }
-        self.ops_consumed += fit * bundle.len();
-        self.charge_bundle_trace(bundle, fit);
     }
 
     /// Settles a recorded op tape: one bulk charge when the buffer covers
@@ -1574,9 +1541,8 @@ impl Device {
     /// the allocator has handed out so far, in address order, so raw
     /// indices into the slice coincide with [`NvAddr`] word indices.
     ///
-    /// This is the debug port a host-side twin executes against: snapshot
-    /// the image after deployment and address it with [`FramBuf::addr`]
-    /// offsets exactly like device code does.
+    /// Tests hash or compare whole images through it to pin down that
+    /// two executions left identical non-volatile state.
     pub fn fram_image(&self) -> &[i16] {
         &self.fram[..self.fram_brk as usize]
     }

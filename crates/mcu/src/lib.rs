@@ -57,14 +57,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod bundle;
 pub mod device;
 pub mod power;
 pub mod spec;
 pub mod trace;
 
-pub use batch::DeviceBatch;
 pub use bundle::{BundleOp, OpBundle};
 pub use device::{
     AllocError, BrownoutInfo, Device, FaultKind, FaultPlan, FramBuf, FramWord, NvAddr,

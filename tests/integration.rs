@@ -4,13 +4,15 @@
 use rand::SeedableRng;
 use sonic_tails::dnn::layers::Layer;
 use sonic_tails::dnn::model::Model;
-use sonic_tails::dnn::quant::quantize;
+use sonic_tails::dnn::quant::{quantize, HostReference, RoundingOrder};
 use sonic_tails::dnn::tensor::Tensor;
 use sonic_tails::dnn::train::{toy_blobs, train, TrainConfig};
 use sonic_tails::genesis::imp::WILDLIFE;
 use sonic_tails::genesis::search::{apply_knobs, PlanKnobs};
-use sonic_tails::mcu::{DeviceSpec, PowerSystem};
-use sonic_tails::sonic::exec::{run_inference, Backend, TailsConfig};
+use sonic_tails::mcu::{Device, DeviceSpec, PowerSystem};
+use sonic_tails::sonic::deploy;
+use sonic_tails::sonic::exec::{run_deployed, run_inference, Backend, TailsConfig};
+use std::num::NonZeroUsize;
 
 /// A trained, pruned, quantized model plus one test input.
 fn pipeline_model() -> (sonic_tails::dnn::quant::QModel, Vec<fxp::Q15>, usize) {
@@ -59,11 +61,24 @@ fn reshape_dataset(d: &sonic_tails::dnn::data::Dataset) -> sonic_tails::dnn::dat
 fn full_pipeline_all_backends_agree_on_continuous_power() {
     let (qm, input, _) = pipeline_model();
     let spec = DeviceSpec::msp430fr5994();
-    let host = qm.forward_host(&input);
-    let host_class = fxp::vecops::argmax(&host);
+    let host_class = fxp::vecops::argmax(&qm.forward_host(&input));
     for b in Backend::paper_suite() {
-        let out = run_inference(&qm, &input, &spec, PowerSystem::continuous(), &b);
+        let mut dev = Device::new(spec.clone(), PowerSystem::continuous());
+        let dm = deploy(&mut dev, &qm).expect("fits");
+        dm.load_input(&mut dev, &input);
+        let out = run_deployed(&mut dev, &dm, &b);
         assert!(out.completed, "{b} failed");
+        // Each backend's logits equal its rounding order's host reference.
+        let order = match b {
+            Backend::Baseline => RoundingOrder::Exact,
+            Backend::Tiled(_) | Backend::Sonic => RoundingOrder::LoopOrdered,
+            Backend::Tails(_) => RoundingOrder::LeaChunked(
+                NonZeroUsize::new(dev.peek_word(dm.calib).into()).expect("TAILS calibrated"),
+            ),
+            _ => unreachable!("{b} is not in the paper suite"),
+        };
+        let want = HostReference::new(&qm, order).forward(&input);
+        assert_eq!(out.output, want, "{b} output differs from its reference");
         assert_eq!(out.class, host_class, "{b} classification mismatch");
     }
 }

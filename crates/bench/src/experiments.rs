@@ -1,6 +1,6 @@
 //! Drivers for every evaluation figure and table.
 
-use crate::report::{ratio, save_csv, secs, starved_label, FleetReport, Table};
+use crate::report::{ratio, save_csv, secs, FleetReport, Table};
 use dnn::data::Dataset;
 use dnn::model::Model;
 use dnn::train::TrainConfig;
@@ -231,7 +231,7 @@ fn genesis_fleet_scenario(
             if s.deploy_error.is_some() {
                 "no-fit(FRAM)".to_string()
             } else {
-                starved_label(s.starved())
+                s.summary.starved_label()
             },
         ]);
     }
@@ -962,19 +962,12 @@ mod tests {
         let spec = mcu::DeviceSpec::tiny();
         let dev = mcu::Device::new(spec, PowerSystem::continuous());
         let out = InferenceOutcome {
-            backend: "x".into(),
-            power: "Cont".into(),
-            completed: false,
+            completed: true,
             output: vec![],
             class: None,
             trace: dev.trace().report(),
-            stats: None,
-            error: None,
-            starved_region: None,
-            brownout: None,
             corruption_detected: 0,
-            corrupted: None,
-            non_termination_task: None,
+            verdict: Ok(Default::default()),
         };
         assert_eq!(kernel_share(&out), 0.0);
     }

@@ -143,8 +143,8 @@ impl FleetReport {
                 opt(s.energy_mj.map(|x| x.mean), &|e| format!("{e:.3}")),
                 opt(s.energy_mj.map(|x| x.p95), &|e| format!("{e:.3}")),
                 opt(s.reboots.map(|x| x.mean), &|r| format!("{r:.1}")),
-                starved_label(&s.starved),
-                non_termination_label(s),
+                s.starved_label(),
+                s.non_termination_label(),
                 s.sdc.to_string(),
                 s.corruption_detected.to_string(),
                 s.corrupted_runs.to_string(),
@@ -152,29 +152,6 @@ impl FleetReport {
         }
         t
     }
-}
-
-/// Renders a cell's non-termination count, naming the offending task
-/// when one was recorded (`2(tile128-layer0)`), distinct from generic
-/// does-not-complete starvation.
-pub fn non_termination_label(s: &CellSummary) -> String {
-    match (&s.non_termination_task, s.non_termination) {
-        (Some(task), n) if n > 0 => format!("{n}({task})"),
-        (_, n) => n.to_string(),
-    }
-}
-
-/// Renders a DNC starvation histogram as `region:count` pairs ("-" when
-/// every run completed).
-pub fn starved_label(starved: &[(String, u64)]) -> String {
-    if starved.is_empty() {
-        return "-".to_string();
-    }
-    starved
-        .iter()
-        .map(|(name, count)| format!("{name}:{count}"))
-        .collect::<Vec<_>>()
-        .join(" ")
 }
 
 /// Formats seconds with sensible precision.
@@ -284,7 +261,7 @@ mod tests {
         assert!(dnc_line.contains('-'), "{dnc_line}");
         // The starvation histogram names the layer the DNCs piled up in.
         assert!(dnc_line.contains("conv1:8"), "{dnc_line}");
-        assert_eq!(starved_label(&[]), "-");
+        assert_eq!(rep.rows[0].1.starved_label(), "-");
     }
 
     #[test]
@@ -306,9 +283,9 @@ mod tests {
             non_termination: 2,
             non_termination_task: Some("tile128-layer0".into()),
         };
-        assert_eq!(non_termination_label(&s), "2(tile128-layer0)");
+        assert_eq!(s.non_termination_label(), "2(tile128-layer0)");
         s.non_termination_task = None;
-        assert_eq!(non_termination_label(&s), "2");
+        assert_eq!(s.non_termination_label(), "2");
         let rep = FleetReport {
             rows: vec![("MNIST".into(), s)],
         };

@@ -101,11 +101,9 @@ impl core::fmt::Display for BrownoutRecord {
 /// The result of one inference run on the device.
 #[derive(Clone, Debug)]
 pub struct InferenceOutcome {
-    /// Which backend ran.
-    pub backend: String,
-    /// Which power system it ran on.
-    pub power: String,
-    /// `true` when inference finished ("completes" in Fig. 9's terms).
+    /// `true` when inference finished ("completes" in Fig. 9's terms);
+    /// always `== verdict.is_ok()`. Kept as a plain field for readers
+    /// that only need the flag.
     pub completed: bool,
     /// The output logits (empty when not completed).
     pub output: Vec<Q15>,
@@ -114,48 +112,65 @@ pub struct InferenceOutcome {
     /// The full energy/time trace (valid either way — for non-terminating
     /// runs it covers the attempts made before giving up).
     pub trace: TraceReport,
-    /// Scheduler statistics, when completed.
-    pub stats: Option<RunStats>,
-    /// The failure, when not completed.
-    pub error: Option<String>,
-    /// For a run that did not complete: the name of the accounting
-    /// region (layer/task) that was executing when the run gave up — the
-    /// layer the device *starved* in. `None` for completed runs.
-    /// [`crate::fleet::CellSummary`] aggregates these into a starvation
-    /// histogram, and the per-region reboot counts behind it are in
-    /// [`mcu::trace::RegionReport::reboots`].
-    pub starved_region: Option<String>,
-    /// For a run that did not complete: the exact op the *final*
-    /// brown-out landed on (op index, op class, phase, region, and
-    /// whether it was injected). `None` for completed runs.
-    pub brownout: Option<BrownoutRecord>,
     /// Corruption detections the integrity guards noted during the run
     /// (each either recovered or escalated). Zero on fault-free runs.
     pub corruption_detected: u64,
-    /// Set when the run was aborted because detected corruption could
-    /// not be recovered: the outcome is *corrupted*, not merely
-    /// incomplete — a distinct verdict from "does not complete".
-    pub corrupted: Option<Corrupted>,
-    /// For a run that failed with [`RunError::NonTermination`]: the name
-    /// of the task that kept draining full buffers without progress.
-    /// `None` for every other outcome — fleets count this separately
-    /// from generic "does not complete".
-    pub non_termination_task: Option<String>,
+    /// The run's one verdict: the scheduler statistics of a completed
+    /// run, or why and where it failed.
+    pub verdict: Result<RunStats, Failure>,
 }
 
-/// Unrecoverable NVM corruption verdict: what the integrity guards saw
-/// before the run was aborted (see [`RunError::Corrupted`]).
+/// Why and where a run did not complete.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Corrupted {
-    /// Total corruption detections during the run, the final one
-    /// included.
-    pub detected: u64,
-    /// Name of the accounting region (layer/task) where recovery was
-    /// abandoned.
+pub struct Failure {
+    /// The scheduler's verdict. [`RunError::Corrupted`] is the
+    /// *corrupted* outcome (detected corruption that could not be
+    /// recovered), distinct from merely not completing;
+    /// [`RunError::NonTermination`] names the task that kept draining
+    /// full buffers without progress.
+    pub error: RunError,
+    /// The accounting region (layer/task) that was executing when the
+    /// run gave up — the layer the device *starved* in.
+    /// [`crate::fleet::CellSummary::starved`] aggregates these into a
+    /// starvation histogram; the per-region reboot counts behind it are
+    /// in [`mcu::trace::RegionReport::reboots`].
     pub region: String,
+    /// The exact op the *final* brown-out landed on (op index, op class,
+    /// phase, region, and whether it was injected), when there was one.
+    pub brownout: Option<BrownoutRecord>,
+}
+
+impl Failure {
+    /// Captures where `dev` gave up after `error`: the region it is
+    /// parked in and its most recent brown-out.
+    pub(crate) fn on(dev: &Device, error: RunError) -> Failure {
+        Failure {
+            error,
+            region: starved_region_name(dev),
+            brownout: dev.last_brownout().map(|b| BrownoutRecord {
+                op_index: b.op_index,
+                op: b.op,
+                phase: b.phase,
+                region: region_name(dev, b.region.index()),
+                injected: b.injected,
+            }),
+        }
+    }
 }
 
 impl InferenceOutcome {
+    /// A run that did not complete: no output, the verdict `failure`.
+    pub(crate) fn failed(trace: TraceReport, corruption_detected: u64, failure: Failure) -> Self {
+        InferenceOutcome {
+            completed: false,
+            output: Vec::new(),
+            class: None,
+            trace,
+            corruption_detected,
+            verdict: Err(failure),
+        }
+    }
+
     /// Live execution time in seconds (at the device clock).
     pub fn live_secs(&self, spec: &DeviceSpec) -> f64 {
         spec.cycles_to_secs(self.trace.live_cycles)
@@ -236,7 +251,6 @@ pub fn run_deployed(dev: &mut Device, dm: &DeployedModel, backend: &Backend) -> 
     // reused deployment links every run against the identical layout
     // instead of leaking the arenas.
     let alloc_marks = dev.alloc_watermarks();
-    let power_label = dev.power().label();
     let result: Result<RunStats, RunError> = match backend {
         Backend::Baseline => {
             let mut g = baseline::build(dm);
@@ -280,68 +294,17 @@ pub fn run_deployed(dev: &mut Device, dm: &DeployedModel, backend: &Backend) -> 
                 Backend::Stateful => stateful::cleared_output(dev, dm),
                 _ => dm.read_output(dev),
             };
-            let class = fxp::vecops::argmax(&output);
             InferenceOutcome {
-                backend: backend.label(),
-                power: power_label,
                 completed: true,
+                class: fxp::vecops::argmax(&output),
                 output,
-                class,
                 trace,
-                stats: Some(stats),
-                error: None,
-                starved_region: None,
-                brownout: None,
                 corruption_detected,
-                corrupted: None,
-                non_termination_task: None,
+                verdict: Ok(stats),
             }
         }
-        Err(e) => {
-            let corrupted = match &e {
-                RunError::Corrupted { region, .. } => Some(Corrupted {
-                    detected: corruption_detected,
-                    region: region.clone(),
-                }),
-                _ => None,
-            };
-            let non_termination_task = match &e {
-                RunError::NonTermination { task, .. } => Some(task.clone()),
-                _ => None,
-            };
-            InferenceOutcome {
-                backend: backend.label(),
-                power: power_label,
-                completed: false,
-                output: Vec::new(),
-                class: None,
-                trace,
-                stats: None,
-                error: Some(e.to_string()),
-                starved_region: Some(starved_region_name(dev)),
-                brownout: brownout_record(dev),
-                corruption_detected,
-                corrupted,
-                non_termination_task,
-            }
-        }
+        Err(e) => InferenceOutcome::failed(trace, corruption_detected, Failure::on(dev, e)),
     }
-}
-
-/// Resolves the device's most recent brown-out into region-named form.
-pub(crate) fn brownout_record(dev: &Device) -> Option<BrownoutRecord> {
-    dev.last_brownout().map(|b| BrownoutRecord {
-        op_index: b.op_index,
-        op: b.op,
-        phase: b.phase,
-        region: dev
-            .trace()
-            .region_names()
-            .get(b.region.index())
-            .cloned()
-            .unwrap_or_else(|| "other".to_string()),
-        injected: b.injected,
-    })
 }
 
 /// Verifies that `backend`'s per-run runtime working state can be
@@ -387,10 +350,13 @@ pub fn preflight_runtime(
 /// nothing resets it on a brown-out), so after an aborted run it still
 /// names the starving layer/task.
 pub(crate) fn starved_region_name(dev: &Device) -> String {
-    let (region, _) = dev.context();
+    region_name(dev, dev.context().0.index())
+}
+
+fn region_name(dev: &Device, index: usize) -> String {
     dev.trace()
         .region_names()
-        .get(region.index())
+        .get(index)
         .cloned()
         .unwrap_or_else(|| "other".to_string())
 }
@@ -629,8 +595,7 @@ mod tests {
         assert!(out.live_secs(&s) > 0.0);
         assert!(out.total_secs(&s) >= out.live_secs(&s));
         assert!(out.energy_mj() > 0.0);
-        assert_eq!(out.power, "1mF");
-        assert_eq!(out.backend, "SONIC");
+        assert_eq!(out.verdict.map(|s| s.reboots), Ok(out.trace.reboots));
     }
 
     #[test]

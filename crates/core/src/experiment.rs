@@ -9,9 +9,11 @@
 //!
 //! - **Streamed run records.** Each shard appends one compact text
 //!   record per run ([`RunRecord`]) to `<root>/<name>/shards/` *as it
-//!   executes*; a shard file is sealed with a `done` line carrying the
-//!   shard's run count and digest. A process killed mid-shard leaves an
-//!   unsealed file, which is simply re-run on the next invocation.
+//!   executes*; a shard file is sealed with a `done <count> <digest>`
+//!   line whose digest is FNV-1a over the bytes of every line before it
+//!   (after the header), so every sealed byte is checked on load. A
+//!   process killed mid-shard leaves an unsealed file, and a garbled one
+//!   fails its seal; either is simply re-run on the next invocation.
 //! - **A manifest.** `manifest.txt` records an FNV-1a hash of the whole
 //!   job ([`job_hash`]: device spec and cost table, quantized weights,
 //!   inputs and labels, backend and power-system parameters, replica
@@ -27,18 +29,19 @@
 //!   to the in-RAM [`crate::fleet::run_fleet`] path.
 //!
 //! Merged aggregation is *bit*-exact, not just approximately right: the
-//! per-shard buffers hold raw per-run metric values ("percentile-ready"
-//! rather than pre-reduced), cells concatenate them in shard (= input)
-//! order, and the same statistics fold as [`crate::fleet::FleetCell::summarize`] runs
-//! over the concatenation — so means and nearest-rank percentiles see
-//! the identical f64 sequence the in-RAM summarizer sees.
+//! per-shard buffers hold raw per-run records ("percentile-ready" rather
+//! than pre-reduced), cells concatenate them in shard (= input) order,
+//! and [`crate::fleet::FleetCell::summarize`] and
+//! [`crate::fleet::FleetCell::digest`] are the same record fold and
+//! digest applied to an in-RAM cell's runs.
 
 use crate::fleet::{
-    cell_order, digest_run_fields, plan_cell_shards, plan_shards, run_shard_with, stats,
-    CellSummary, FleetJob, FleetRun, Fnv, ShardSpec,
+    cell_order, plan_cell_shards, plan_shards, run_shard_with, stats, CellSummary, FleetJob,
+    FleetRun, Fnv, ShardSpec,
 };
 use dnn::quant::QLayer;
 use fxp::Q15;
+use intermittent::sched::RunError;
 use mcu::{DeviceSpec, FaultKind, HarvestProfile, Op, PowerSystem};
 use std::fmt;
 use std::fs;
@@ -127,7 +130,7 @@ impl std::error::Error for ExperimentError {}
 pub struct RunRecord {
     /// Index into the job's inputs.
     pub input_index: usize,
-    /// Whether the inference completed.
+    /// Whether the inference completed; always `== failure.is_none()`.
     pub completed: bool,
     /// Predicted class, when the run completed.
     pub class: Option<usize>,
@@ -144,47 +147,90 @@ pub struct RunRecord {
     pub total_energy_pj: u64,
     /// Reboots during the run's epoch.
     pub reboots: u64,
-    /// Region (layer/task) the device starved in, for DNC runs.
-    pub starved_region: Option<String>,
-    /// Brown-out forensics ([`crate::exec::BrownoutRecord`]'s display
-    /// form: the exact charged op the supply died on).
-    pub brownout: Option<String>,
-    /// Error message for runs that did not complete.
-    pub error: Option<String>,
     /// Silent-data-corruption verdict for fault-injected runs
     /// ([`FleetRun::sdc`]); `None` for fault-free jobs and DNC runs.
     pub sdc: Option<bool>,
     /// Corruption detections the integrity guards raised during the run.
     pub corruption_detected: u64,
-    /// Region of an unrecoverable-corruption abort, when the run ended
-    /// in `RunError::Corrupted`.
-    pub corrupted_region: Option<String>,
-    /// Offending task name when the run ended in
-    /// `RunError::NonTermination`.
-    pub non_termination_task: Option<String>,
+    /// Why the run did not complete, as persisted text; `None` exactly
+    /// when it completed.
+    pub failure: Option<RecordFailure>,
+}
+
+/// The persisted text of a [`crate::exec::Failure`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RecordFailure {
+    /// Region (layer/task) the device starved in.
+    pub region: String,
+    /// Brown-out forensics ([`crate::exec::BrownoutRecord`]'s display
+    /// form: the exact charged op the supply died on).
+    pub brownout: Option<String>,
+    /// The scheduler error's display form.
+    pub error: String,
+    /// Which failures the population summary counts on their own.
+    pub kind: FailureKind,
+}
+
+/// The failure classes a [`crate::fleet::CellSummary`] counts apart from
+/// generic "does not complete".
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum FailureKind {
+    /// `RunError::NonTermination`, with the offending task's name.
+    NonTermination(String),
+    /// `RunError::Corrupted`, with the region recovery was abandoned in.
+    Corrupted(String),
+    /// Any other failure.
+    Other,
 }
 
 impl RunRecord {
-    /// Captures a fleet run as a persistable record.
+    /// Captures a fleet run as a persistable record — the one place a
+    /// run's typed [`crate::exec::Failure`] becomes text.
     pub fn from_run(r: &FleetRun) -> Self {
+        let o = &r.outcome;
+        let failure = o.verdict.as_ref().err().map(|f| RecordFailure {
+            region: f.region.clone(),
+            brownout: f.brownout.as_ref().map(|b| b.to_string()),
+            error: f.error.to_string(),
+            kind: match &f.error {
+                RunError::NonTermination { task, .. } => FailureKind::NonTermination(task.clone()),
+                RunError::Corrupted { region, .. } => FailureKind::Corrupted(region.clone()),
+                _ => FailureKind::Other,
+            },
+        });
         RunRecord {
             input_index: r.input_index,
-            completed: r.outcome.completed,
-            class: r.outcome.class,
+            completed: failure.is_none(),
+            class: o.class,
             correct: r.correct,
-            output: r.outcome.output.iter().map(|q| q.raw()).collect(),
-            live_cycles: r.outcome.trace.live_cycles,
-            dead_secs: r.outcome.trace.dead_secs,
-            total_energy_pj: r.outcome.trace.total_energy_pj,
-            reboots: r.outcome.trace.reboots,
-            starved_region: r.outcome.starved_region.clone(),
-            brownout: r.outcome.brownout.as_ref().map(|b| b.to_string()),
-            error: r.outcome.error.clone(),
+            output: o.output.iter().map(|q| q.raw()).collect(),
+            live_cycles: o.trace.live_cycles,
+            dead_secs: o.trace.dead_secs,
+            total_energy_pj: o.trace.total_energy_pj,
+            reboots: o.trace.reboots,
             sdc: r.sdc,
-            corruption_detected: r.outcome.corruption_detected,
-            corrupted_region: r.outcome.corrupted.as_ref().map(|c| c.region.clone()),
-            non_termination_task: r.outcome.non_termination_task.clone(),
+            corruption_detected: o.corruption_detected,
+            failure,
         }
+    }
+
+    /// Feeds the record's bit-relevant fields into `h` — the single
+    /// definition of the per-run digest layout behind every cell digest.
+    fn put_digest(&self, h: &mut Fnv) {
+        h.put(self.input_index as u64);
+        h.put(self.completed as u64);
+        h.put(self.class.map(|c| c as u64 + 1).unwrap_or(0));
+        for &q in &self.output {
+            h.put(q as u16 as u64);
+        }
+        h.put(self.live_cycles);
+        h.put(self.dead_secs.to_bits());
+        h.put(self.total_energy_pj);
+        h.put(self.reboots);
+    }
+
+    fn kind(&self) -> Option<&FailureKind> {
+        self.failure.as_ref().map(|f| &f.kind)
     }
 
     /// Whether the record carries any fault forensics. Fault-free
@@ -194,22 +240,14 @@ impl RunRecord {
     fn has_forensics(&self) -> bool {
         self.sdc.is_some()
             || self.corruption_detected > 0
-            || self.corrupted_region.is_some()
-            || self.non_termination_task.is_some()
+            || !matches!(self.kind(), None | Some(FailureKind::Other))
     }
 
-    /// The record's one-line on-disk form (space-separated tokens;
-    /// strings percent-encoded so they never contain separators).
+    /// The record's one-line on-disk form (space-separated tokens; `-`
+    /// for an absent value; strings percent-encoded behind `=` so they
+    /// never contain separators).
     fn encode_line(&self) -> String {
-        let opt_num = |v: Option<usize>| v.map(|x| x.to_string()).unwrap_or_else(|| "-".into());
-        let opt_bool = |v: Option<bool>| match v {
-            None => "-".to_string(),
-            Some(b) => (b as u8).to_string(),
-        };
-        let opt_str = |v: &Option<String>| match v {
-            None => "-".to_string(),
-            Some(s) => format!("={}", enc(s)),
-        };
+        let f = self.failure.as_ref();
         let out = if self.output.is_empty() {
             "-".to_string()
         } else {
@@ -220,98 +258,137 @@ impl RunRecord {
             "run {} {} {} {} {} {:016x} {} {} {} {} {} {}",
             self.input_index,
             self.completed as u8,
-            opt_num(self.class),
-            opt_bool(self.correct),
+            opt_tok(self.class),
+            opt_tok(self.correct.map(u8::from)),
             self.live_cycles,
             self.dead_secs.to_bits(),
             self.total_energy_pj,
             self.reboots,
             out,
-            opt_str(&self.starved_region),
-            opt_str(&self.brownout),
-            opt_str(&self.error),
+            str_tok(f.map(|f| f.region.as_str())),
+            str_tok(f.and_then(|f| f.brownout.as_deref())),
+            str_tok(f.map(|f| f.error.as_str())),
         );
         if self.has_forensics() {
+            let (corrupted, task) = match self.kind() {
+                Some(FailureKind::Corrupted(region)) => (Some(region.as_str()), None),
+                Some(FailureKind::NonTermination(task)) => (None, Some(task.as_str())),
+                _ => (None, None),
+            };
             line.push_str(&format!(
                 " {} {} {} {}",
-                opt_bool(self.sdc),
+                opt_tok(self.sdc.map(u8::from)),
                 self.corruption_detected,
-                opt_str(&self.corrupted_region),
-                opt_str(&self.non_termination_task),
+                str_tok(corrupted),
+                str_tok(task),
             ));
         }
         line
     }
 
-    /// Parses one `run` line back into a record.
-    fn decode_line(line: &str) -> Result<Self, String> {
+    /// Parses one `run` line back into a record. Accepts exactly the
+    /// lines [`RunRecord::encode_line`] writes for a run the runtime can
+    /// produce: tokens in canonical form, and a verdict that does not
+    /// contradict itself (a completed run carries no failure token; a
+    /// failed one carries its region and error but no class, output,
+    /// correct prediction or SDC verdict; at most one of a
+    /// non-termination task and a corrupted region).
+    fn decode_line(line: &str) -> Option<Self> {
         let t: Vec<&str> = line.split(' ').collect();
-        // 13 tokens = legacy fault-free record; 17 = with the trailing
+        // 13 tokens = fault-free record; 17 = with the trailing
         // fault-forensics block.
         if !(t.len() == 13 || t.len() == 17) || t[0] != "run" {
-            return Err(format!("malformed run record: {line:?}"));
+            return None;
         }
-        let num = |s: &str| {
-            s.parse::<u64>()
-                .map_err(|e| format!("bad number {s:?}: {e}"))
+        let flag = |s: &str| match s {
+            "0" => Some(false),
+            "1" => Some(true),
+            _ => None,
         };
-        let opt_num = |s: &str| -> Result<Option<usize>, String> {
-            if s == "-" {
-                Ok(None)
-            } else {
-                Ok(Some(num(s)? as usize))
-            }
-        };
-        let opt_bool = |s: &str| -> Result<Option<bool>, String> {
-            match s {
-                "-" => Ok(None),
-                "0" => Ok(Some(false)),
-                "1" => Ok(Some(true)),
-                _ => Err(format!("bad flag {s:?}")),
-            }
-        };
-        let opt_str = |s: &str| -> Result<Option<String>, String> {
-            match s.strip_prefix('=') {
-                Some(body) => Ok(Some(dec(body)?)),
-                None if s == "-" => Ok(None),
-                None => Err(format!("bad string field {s:?}")),
-            }
-        };
-        let output = match t[9].strip_prefix('=') {
-            Some(body) => body
+        let text = |s: &str| opt_field(s, |s| dec(s.strip_prefix('=')?));
+        let output = match t[9] {
+            "-" => Vec::new(),
+            s => s
+                .strip_prefix('=')?
                 .split(',')
-                .map(|x| {
-                    x.parse::<i16>()
-                        .map_err(|e| format!("bad output {x:?}: {e}"))
-                })
-                .collect::<Result<Vec<i16>, String>>()?,
-            None if t[9] == "-" => Vec::new(),
-            None => return Err(format!("bad output field {:?}", t[9])),
+                .map(|x| x.parse().ok())
+                .collect::<Option<Vec<i16>>>()?,
         };
-        Ok(RunRecord {
-            input_index: num(t[1])? as usize,
-            completed: opt_bool(t[2])?.ok_or_else(|| "missing completed flag".to_string())?,
-            class: opt_num(t[3])?,
-            correct: opt_bool(t[4])?,
-            live_cycles: num(t[5])?,
-            dead_secs: f64::from_bits(
-                u64::from_str_radix(t[6], 16).map_err(|e| format!("bad dead bits: {e}"))?,
-            ),
-            total_energy_pj: num(t[7])?,
-            reboots: num(t[8])?,
+        let (sdc, corruption_detected, corrupted, task) = if t.len() == 17 {
+            (
+                opt_field(t[13], flag)?,
+                t[14].parse().ok()?,
+                text(t[15])?,
+                text(t[16])?,
+            )
+        } else {
+            (None, 0, None, None)
+        };
+        let kind = match (task, corrupted) {
+            (None, None) => FailureKind::Other,
+            (Some(task), None) => FailureKind::NonTermination(task),
+            (None, Some(region)) => FailureKind::Corrupted(region),
+            (Some(_), Some(_)) => return None,
+        };
+        let completed = flag(t[2])?;
+        let class = opt_field(t[3], |s| s.parse().ok())?;
+        let correct = opt_field(t[4], flag)?;
+        let (region, brownout, error) = (text(t[10])?, text(t[11])?, text(t[12])?);
+        let failure = match (completed, region, error) {
+            (true, None, None) if brownout.is_none() && kind == FailureKind::Other => None,
+            (false, Some(region), Some(error))
+                if class.is_none()
+                    && output.is_empty()
+                    && correct != Some(true)
+                    && sdc.is_none() =>
+            {
+                Some(RecordFailure {
+                    region,
+                    brownout,
+                    error,
+                    kind,
+                })
+            }
+            _ => return None,
+        };
+        let rec = RunRecord {
+            input_index: t[1].parse().ok()?,
+            completed,
+            class,
+            correct,
             output,
-            starved_region: opt_str(t[10])?,
-            brownout: opt_str(t[11])?,
-            error: opt_str(t[12])?,
-            sdc: if t.len() == 17 {
-                opt_bool(t[13])?
-            } else {
-                None
-            },
-            corruption_detected: if t.len() == 17 { num(t[14])? } else { 0 },
-            corrupted_region: if t.len() == 17 { opt_str(t[15])? } else { None },
-            non_termination_task: if t.len() == 17 { opt_str(t[16])? } else { None },
-        })
+            live_cycles: t[5].parse().ok()?,
+            dead_secs: f64::from_bits(u64::from_str_radix(t[6], 16).ok()?),
+            total_energy_pj: t[7].parse().ok()?,
+            reboots: t[8].parse().ok()?,
+            sdc,
+            corruption_detected,
+            failure,
+        };
+        // Canonical form only: no leading zeros or `+` signs, no
+        // redundant escapes, no empty forensics block.
+        (rec.encode_line() == line).then_some(rec)
+    }
+}
+
+/// A value token: `-` for `None`.
+fn opt_tok(v: Option<impl fmt::Display>) -> String {
+    v.map_or_else(|| "-".to_string(), |x| x.to_string())
+}
+
+/// A string token: `-` for `None`, otherwise `=` and the percent-encoded
+/// string (so `Some("")` stays distinct from `None`).
+fn str_tok(v: Option<&str>) -> String {
+    v.map_or_else(|| "-".to_string(), |s| format!("={}", enc(s)))
+}
+
+/// Parses an optional token: `Some(None)` for `-`, `None` when `parse`
+/// rejects the token.
+fn opt_field<T>(s: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<Option<T>> {
+    if s == "-" {
+        Some(None)
+    } else {
+        parse(s).map(Some)
     }
 }
 
@@ -691,38 +768,27 @@ fn header_line(s: &ShardSpec, job_hash: u64) -> String {
     )
 }
 
-fn shard_digest(records: &[RunRecord]) -> u64 {
-    let mut h = Fnv::new();
-    for r in records {
-        put_record(&mut h, r);
-    }
-    h.finish()
-}
-
-fn put_record(h: &mut Fnv, r: &RunRecord) {
-    digest_run_fields(
-        h,
-        r.input_index as u64,
-        r.completed,
-        r.class,
-        r.output.iter().copied(),
-        r.live_cycles,
-        r.dead_secs.to_bits(),
-        r.total_energy_pj,
-        r.reboots,
-    );
-}
-
-/// The cell digest rebuilt from records — the same field layout as
-/// [`crate::fleet::FleetCell::digest`], via the shared [`digest_run_fields`].
-fn cell_digest(backend_index: usize, power_index: usize, records: &[RunRecord]) -> u64 {
+/// The cell digest over `records` in input order — the one definition
+/// behind [`CellReport::digest`] and [`crate::fleet::FleetCell::digest`].
+pub(crate) fn cell_digest(backend_index: usize, power_index: usize, records: &[RunRecord]) -> u64 {
     let mut h = Fnv::new();
     h.put(backend_index as u64);
     h.put(power_index as u64);
     for r in records {
-        put_record(&mut h, r);
+        r.put_digest(&mut h);
     }
     h.finish()
+}
+
+/// The deployment's region names in registration (layer) order, as the
+/// run's trace lists them.
+pub(crate) fn region_names(run: &FleetRun) -> Vec<String> {
+    run.outcome
+        .trace
+        .regions
+        .iter()
+        .map(|x| x.name.clone())
+        .collect()
 }
 
 fn io_at(path: &Path, e: &std::io::Error) -> ExperimentError {
@@ -730,7 +796,10 @@ fn io_at(path: &Path, e: &std::io::Error) -> ExperimentError {
 }
 
 /// Executes one shard, streaming each record to the shard file as the
-/// run finishes and sealing the file with a `done` line.
+/// run finishes and sealing the file with a `done <count> <digest>`
+/// line, where the digest is FNV-1a over the bytes of every line between
+/// the header and the seal (newlines included): every record and region
+/// byte is sealed, so a garbled field cannot load.
 fn execute_shard(
     job: &FleetJob<'_>,
     shard: &ShardSpec,
@@ -743,26 +812,22 @@ fn execute_shard(
     let mut w = std::io::BufWriter::new(file);
     writeln!(w, "{}", header_line(shard, job_hash)).map_err(|e| io_at(&path, &e))?;
 
-    let mut regions: Vec<String> = Vec::new();
-    let mut first = true;
+    let mut seal = Fnv::new();
+    let mut sealed_line = |w: &mut std::io::BufWriter<fs::File>, line: &str| {
+        seal.write(line.as_bytes());
+        seal.write(b"\n");
+        writeln!(w, "{line}")
+    };
+    let mut regions: Option<Vec<String>> = None;
     let mut records: Vec<RunRecord> = Vec::new();
     let mut write_err: Option<std::io::Error> = None;
     run_shard_with(job, shard, &mut |run| {
-        if first {
-            first = false;
-            regions = run
-                .outcome
-                .trace
-                .regions
-                .iter()
-                .map(|x| x.name.clone())
-                .collect();
-        }
+        regions.get_or_insert_with(|| region_names(run));
         let rec = RunRecord::from_run(run);
         if write_err.is_none() {
             // Stream (line-buffered): an analyst can tail the file, and
             // a kill loses at most the unsealed shard.
-            let r = writeln!(w, "{}", rec.encode_line()).and_then(|()| w.flush());
+            let r = sealed_line(&mut w, &rec.encode_line()).and_then(|()| w.flush());
             if let Err(e) = r {
                 write_err = Some(e);
             }
@@ -774,67 +839,52 @@ fn execute_shard(
         return Err(io_at(&path, &e));
     }
 
+    let regions = regions.unwrap_or_default();
     let mut regions_line = String::from("regions");
     for r in &regions {
         regions_line.push_str(" =");
         regions_line.push_str(&enc(r));
     }
-    writeln!(w, "{regions_line}").map_err(|e| io_at(&path, &e))?;
-    writeln!(w, "done {} {:016x}", records.len(), shard_digest(&records))
-        .map_err(|e| io_at(&path, &e))?;
+    sealed_line(&mut w, &regions_line).map_err(|e| io_at(&path, &e))?;
+    writeln!(w, "done {} {:016x}", records.len(), seal.finish()).map_err(|e| io_at(&path, &e))?;
     w.flush().map_err(|e| io_at(&path, &e))?;
     Ok(ShardData { records, regions })
 }
 
-/// Loads a sealed shard file, returning `None` (re-run it) on any
-/// missing, unsealed, or inconsistent content.
+/// Loads a sealed shard file, returning `None` (re-run it) unless the
+/// file is exactly what [`execute_shard`] writes for `shard`: the header,
+/// one record per input of the span in order, the regions line, and a
+/// seal whose count and digest match.
 fn load_shard(path: &Path, shard: &ShardSpec, job_hash: u64) -> Option<ShardData> {
     let text = fs::read_to_string(path).ok()?;
-    let mut lines = text.lines();
-    if lines.next()? != header_line(shard, job_hash) {
+    let body = text
+        .strip_prefix(header_line(shard, job_hash).as_str())?
+        .strip_prefix('\n')?;
+    let (sealed, seal) = body.strip_suffix('\n')?.rsplit_once('\n')?;
+    let mut h = Fnv::new();
+    h.write(sealed.as_bytes());
+    h.write(b"\n");
+    if seal != format!("done {} {:016x}", shard.len, h.finish()) {
         return None;
     }
-    let mut records: Vec<RunRecord> = Vec::new();
-    let mut regions: Option<Vec<String>> = None;
-    let mut sealed = false;
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        if sealed {
-            return None; // trailing garbage after the seal
-        }
-        if let Some(rest) = line.strip_prefix("regions") {
-            let mut names = Vec::new();
-            for tok in rest.split_whitespace() {
-                names.push(dec(tok.strip_prefix('=')?).ok()?);
-            }
-            regions = Some(names);
-        } else if let Some(rest) = line.strip_prefix("done ") {
-            let (n, digest) = rest.split_once(' ')?;
-            if n.parse::<usize>().ok()? != records.len() {
-                return None;
-            }
-            if u64::from_str_radix(digest, 16).ok()? != shard_digest(&records) {
-                return None;
-            }
-            sealed = true;
-        } else {
-            records.push(RunRecord::decode_line(line).ok()?);
-        }
-    }
-    if !sealed || records.len() != shard.len {
+    let mut lines: Vec<&str> = sealed.split('\n').collect();
+    let mut names = lines.pop()?.split(' ');
+    if names.next()? != "regions" {
         return None;
     }
-    for (k, r) in records.iter().enumerate() {
-        if r.input_index != shard.start + k {
-            return None;
-        }
-    }
-    Some(ShardData {
-        records,
-        regions: regions?,
-    })
+    let regions = names
+        .map(|tok| dec(tok.strip_prefix('=')?))
+        .collect::<Option<Vec<String>>>()?;
+    let records = lines
+        .into_iter()
+        .map(RunRecord::decode_line)
+        .collect::<Option<Vec<RunRecord>>>()?;
+    let in_order = records.len() == shard.len
+        && records
+            .iter()
+            .enumerate()
+            .all(|(k, r)| r.input_index == shard.start + k);
+    in_order.then_some(ShardData { records, regions })
 }
 
 fn write_manifest(
@@ -880,10 +930,11 @@ fn read_manifest_hash(path: &Path) -> Result<u64, ExperimentError> {
     )))
 }
 
-/// [`crate::fleet::FleetCell::summarize`], replayed over records: the same filters,
-/// the same metric definitions, and the same [`stats`] fold over values
-/// in run order — bit-equal to the in-RAM summary for a complete cell.
-fn summarize_records(
+/// The population summary of one cell's records, in input order — the
+/// one fold behind [`CellReport::summary`] and
+/// [`crate::fleet::FleetCell::summarize`]. `region_order` is the
+/// deployment's region list, which orders the starvation histogram.
+pub(crate) fn summarize_records(
     spec: &DeviceSpec,
     backend: &str,
     power: &str,
@@ -898,26 +949,22 @@ fn summarize_records(
         .count();
     let metric =
         |f: &dyn Fn(&RunRecord) -> f64| -> Vec<f64> { completed.iter().map(|r| f(r)).collect() };
-    let starved = {
-        let mut order: Vec<String> = region_order.to_vec();
-        let mut counts: Vec<u64> = vec![0; order.len()];
-        for r in records {
-            let Some(name) = &r.starved_region else {
-                continue;
-            };
-            match order.iter().position(|n| n == name) {
-                Some(i) => counts[i] += 1,
-                None => {
-                    order.push(name.clone());
-                    counts.push(1);
-                }
-            }
+    let failures = || records.iter().filter_map(|r| r.failure.as_ref());
+    // One count per failed run against the region it starved in, in
+    // region order; regions that starved nothing are dropped.
+    let mut starved: Vec<(String, u64)> = region_order.iter().map(|n| (n.clone(), 0)).collect();
+    for f in failures() {
+        match starved.iter_mut().find(|(n, _)| *n == f.region) {
+            Some((_, c)) => *c += 1,
+            None => starved.push((f.region.clone(), 1)),
         }
-        order
-            .into_iter()
-            .zip(counts)
-            .filter(|&(_, c)| c > 0)
-            .collect()
+    }
+    starved.retain(|&(_, c)| c > 0);
+    let stuck_tasks = || {
+        failures().filter_map(|f| match &f.kind {
+            FailureKind::NonTermination(task) => Some(task),
+            _ => None,
+        })
     };
     CellSummary {
         backend: backend.to_string(),
@@ -938,15 +985,11 @@ fn summarize_records(
         starved,
         sdc: records.iter().filter(|r| r.sdc == Some(true)).count(),
         corruption_detected: records.iter().map(|r| r.corruption_detected).sum(),
-        corrupted_runs: records
-            .iter()
-            .filter(|r| r.corrupted_region.is_some())
+        corrupted_runs: failures()
+            .filter(|f| matches!(f.kind, FailureKind::Corrupted(_)))
             .count(),
-        non_termination: records
-            .iter()
-            .filter(|r| r.non_termination_task.is_some())
-            .count(),
-        non_termination_task: records.iter().find_map(|r| r.non_termination_task.clone()),
+        non_termination: stuck_tasks().count(),
+        non_termination_task: stuck_tasks().next().cloned(),
     }
 }
 
@@ -980,24 +1023,21 @@ fn enc(s: &str) -> String {
     out
 }
 
-fn dec(s: &str) -> Result<String, String> {
+fn dec(s: &str) -> Option<String> {
     let raw = s.as_bytes();
     let mut bytes = Vec::with_capacity(raw.len());
     let mut i = 0;
     while i < raw.len() {
         if raw[i] == b'%' {
-            let hex = raw
-                .get(i + 1..i + 3)
-                .and_then(|h| std::str::from_utf8(h).ok())
-                .ok_or_else(|| format!("truncated escape in {s:?}"))?;
-            bytes.push(u8::from_str_radix(hex, 16).map_err(|_| format!("bad escape in {s:?}"))?);
+            let hex = std::str::from_utf8(raw.get(i + 1..i + 3)?).ok()?;
+            bytes.push(u8::from_str_radix(hex, 16).ok()?);
             i += 3;
         } else {
             bytes.push(raw[i]);
             i += 1;
         }
     }
-    String::from_utf8(bytes).map_err(|_| format!("non-UTF-8 escape in {s:?}"))
+    String::from_utf8(bytes).ok()
 }
 
 #[cfg(test)]
@@ -1007,6 +1047,7 @@ mod tests {
     use crate::exec::{Backend, TailsConfig};
     use crate::fleet::{fleet_digest, run_fleet, FleetInput};
     use dnn::quant::QModel;
+    use proptest::prelude::*;
 
     fn test_root(name: &str) -> PathBuf {
         let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -1042,50 +1083,204 @@ mod tests {
         }
     }
 
-    #[test]
-    fn run_record_round_trips_through_the_line_codec() {
-        let rec = RunRecord {
+    /// A failed run's record whose strings carry every codec hazard:
+    /// spaces, `%`, `=`, `-`, newlines and non-ASCII.
+    fn failed_record() -> RunRecord {
+        RunRecord {
             input_index: 42,
             completed: false,
             class: None,
             correct: Some(false),
-            output: vec![-32768, -1, 0, 17, 32767],
+            output: vec![],
             live_cycles: 123_456_789,
             dead_secs: 0.1 + 0.2, // a value with messy bits
             total_energy_pj: 987_654_321,
             reboots: 7,
-            starved_region: Some("fc".into()),
-            brownout: Some("natural op#91 (FramWrite/Kernel) in fc — 100% á".into()),
-            error: Some("supply dead: buffer 8e-6 F never recharges\nline2 =%-".into()),
             sdc: None,
             corruption_detected: 0,
-            corrupted_region: None,
-            non_termination_task: None,
-        };
-        let line = rec.encode_line();
-        assert!(!line.contains('\n'), "records are single lines: {line:?}");
-        assert_eq!(RunRecord::decode_line(&line).unwrap(), rec);
+            failure: Some(RecordFailure {
+                region: "fc".into(),
+                brownout: Some("natural op#91 (FramWrite/Kernel) in fc — 100% á".into()),
+                error: "supply dead: buffer 8e-6 F never recharges\nline2 =%-".into(),
+                kind: FailureKind::Other,
+            }),
+        }
+    }
 
-        let empty = RunRecord {
+    fn completed_record() -> RunRecord {
+        RunRecord {
             input_index: 0,
             completed: true,
             class: Some(3),
             correct: None,
-            output: vec![],
+            output: vec![-32768, -1, 0, 17, 32767],
             live_cycles: 1,
             dead_secs: 0.0,
             total_energy_pj: 2,
             reboots: 0,
-            starved_region: None,
-            brownout: None,
-            error: Some(String::new()), // Some("") must survive, distinct from None
             sdc: None,
             corruption_detected: 0,
-            corrupted_region: None,
-            non_termination_task: None,
+            failure: None,
+        }
+    }
+
+    fn round_trip(rec: &RunRecord) -> Option<RunRecord> {
+        let line = rec.encode_line();
+        assert!(!line.contains('\n'), "records are single lines: {line:?}");
+        RunRecord::decode_line(&line)
+    }
+
+    #[test]
+    fn run_record_round_trips_through_the_line_codec() {
+        let failed = failed_record();
+        assert_eq!(round_trip(&failed), Some(failed.clone()));
+        // An empty error string survives, distinct from a missing one.
+        let mut empty_error = failed.clone();
+        empty_error.failure.as_mut().unwrap().error = String::new();
+        assert_eq!(round_trip(&empty_error), Some(empty_error));
+        let done = completed_record();
+        assert_eq!(round_trip(&done), Some(done.clone()));
+        // The forensics block: non-termination and corruption verdicts.
+        for kind in [
+            FailureKind::NonTermination("tile128 layer0".into()),
+            FailureKind::Corrupted("conv=1".into()),
+        ] {
+            let mut rec = failed.clone();
+            rec.failure.as_mut().unwrap().kind = kind;
+            rec.corruption_detected = 3;
+            assert_eq!(round_trip(&rec), Some(rec.clone()));
+        }
+    }
+
+    #[test]
+    fn record_decoder_rejects_lines_the_runtime_cannot_write() {
+        // Replaces token `i` of `rec`'s line (or appends `tail`).
+        let edit = |rec: &RunRecord, i: usize, tok: &str| {
+            let line = rec.encode_line();
+            let mut t: Vec<&str> = line.split(' ').collect();
+            t[i] = tok;
+            t.join(" ")
         };
-        let line = empty.encode_line();
-        assert_eq!(RunRecord::decode_line(&line).unwrap(), empty);
+        let (done, failed) = (completed_record(), failed_record());
+        let rejected = [
+            // A completed run with a failure token.
+            edit(&done, 10, "=fc"),
+            edit(&done, 11, "=natural"),
+            edit(&done, 12, "="),
+            format!("{} - 0 - =stuck", done.encode_line()),
+            // A failed run with a class, an output or a right answer.
+            edit(&failed, 3, "3"),
+            edit(&failed, 9, "=1,2"),
+            edit(&failed, 4, "1"),
+            format!("{} 1 0 - -", failed.encode_line()),
+            // A failed run without its region or error.
+            edit(&failed, 10, "-"),
+            edit(&failed, 12, "-"),
+            // Both a non-termination task and a corrupted region.
+            format!("{} - 0 =fc =stuck", failed.encode_line()),
+            // Non-canonical tokens.
+            edit(&done, 1, "00"),
+            edit(&done, 1, "+0"),
+            edit(&done, 2, "-"),
+            edit(&failed, 10, "=%66c"),
+            format!("{} - 0 - -", failed.encode_line()),
+            // Garbage.
+            String::new(),
+            "run".into(),
+            format!("{} ", done.encode_line()),
+        ];
+        for line in &rejected {
+            assert_eq!(RunRecord::decode_line(line), None, "accepted {line:?}");
+        }
+    }
+
+    /// Any text the codec must carry: separators, escapes, newlines and
+    /// multi-byte characters.
+    fn text() -> impl Strategy<Value = String> {
+        let chars = vec![
+            'a', 'Z', '7', ' ', '%', '=', '-', ',', '#', '\n', '\0', 'é', '—', '😀',
+        ];
+        prop::collection::vec(prop::sample::select(chars), 0..10)
+            .prop_map(|cs| cs.into_iter().collect::<String>())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every record the runtime can write round-trips exactly.
+        #[test]
+        fn consistent_records_round_trip_through_the_line_codec(
+            numbers in (any::<usize>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            output in prop::collection::vec(any::<i16>(), 0..12),
+            texts in (text(), text(), text(), text()),
+            shape in (any::<bool>(), 0u8..3, 0u8..3, 0usize..8, any::<bool>()),
+            corruption_detected in prop_oneof![Just(0u64), any::<u64>()],
+        ) {
+            let (input_index, dead_bits, live_cycles, total_energy_pj, reboots) = numbers;
+            let (completed, kind, flag, class, brownout) = shape;
+            let flag = [None, Some(false), Some(true)][flag as usize];
+            let (region, brownout_text, error, detail) = texts;
+            let rec = RunRecord {
+                input_index,
+                completed,
+                class: (completed && class > 0).then_some(class),
+                correct: if completed { flag } else { flag.map(|_| false) },
+                output: if completed { output } else { Vec::new() },
+                live_cycles,
+                dead_secs: f64::from_bits(dead_bits),
+                total_energy_pj,
+                reboots,
+                sdc: flag.filter(|_| completed),
+                corruption_detected,
+                failure: (!completed).then(|| RecordFailure {
+                    region,
+                    brownout: brownout.then_some(brownout_text),
+                    error,
+                    kind: match kind {
+                        0 => FailureKind::Other,
+                        1 => FailureKind::NonTermination(detail),
+                        _ => FailureKind::Corrupted(detail),
+                    },
+                }),
+            };
+            let back = round_trip(&rec).expect("a consistent record decodes");
+            // Compared by bits: NaN payloads are valid `dead_secs` bits.
+            prop_assert_eq!(back.dead_secs.to_bits(), dead_bits);
+            let (back, rec) = (RunRecord { dead_secs: 0.0, ..back }, RunRecord { dead_secs: 0.0, ..rec });
+            prop_assert_eq!(back, rec);
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_sealed_shard_is_rejected_or_harmless() {
+        // One cell that completes and one that starves (Tile-128's tasks
+        // outgrow 8 µF), so both record shapes are sealed.
+        let (qm, input) = tiny_pruned_qmodel();
+        let mut job = tiny_job(&qm, &input, 2, 1);
+        job.backends = vec![Backend::Sonic, Backend::Tiled(128)];
+        job.powers = vec![PowerSystem::harvested(8e-6)];
+        let mut cfg = ExperimentConfig::new("bit-flips");
+        cfg.root = test_root("bit-flips");
+        let out = run_experiment(&job, &cfg).expect("experiment runs");
+        assert!(out.cells[0].records.iter().all(|r| r.completed));
+        assert!(out.cells[1].records.iter().all(|r| !r.completed));
+        let hash = job_hash(&job);
+        let scratch = cfg.root.join("flipped.runs");
+        for shard in plan_shards(&job) {
+            let path = out.dir.join("shards").join(shard_file_name(&shard));
+            let clean = load_shard(&path, &shard, hash).expect("a sealed shard loads");
+            assert_eq!(clean.records, out.cells[shard.backend_index].records);
+            let bytes = fs::read(&path).unwrap();
+            for bit in 0..bytes.len() * 8 {
+                let mut garbled = bytes.clone();
+                garbled[bit / 8] ^= 1 << (bit % 8);
+                fs::write(&scratch, &garbled).unwrap();
+                if let Some(got) = load_shard(&scratch, &shard, hash) {
+                    assert_eq!(got.records, clean.records, "bit {bit} mis-parsed");
+                    assert_eq!(got.regions, clean.regions, "bit {bit} mis-parsed");
+                }
+            }
+        }
     }
 
     #[test]

@@ -51,10 +51,12 @@
 //! across lane widths by the test suite.
 
 use crate::deploy::{deploy, reset_control_words};
-use crate::exec::{run_deployed, Backend, InferenceOutcome};
+use crate::exec::{run_deployed, starved_region_name, Backend, Failure, InferenceOutcome};
+use crate::experiment::{cell_digest, region_names, summarize_records, RunRecord};
 use crate::lockstep::{self, BatchRunner};
 use dnn::quant::QModel;
 use fxp::Q15;
+use intermittent::sched::RunError;
 use mcu::{Device, DeviceSpec, FaultPlan, PowerSystem};
 
 /// One input for fleet evaluation: the quantized sensor reading plus its
@@ -165,7 +167,7 @@ pub struct CellSummary {
     /// Per-layer DNC starvation histogram: for every run that did not
     /// complete, one count against the region (layer/task) the device
     /// was executing when the run gave up
-    /// ([`crate::exec::InferenceOutcome::starved_region`]). Entries are
+    /// ([`crate::exec::Failure::region`]). Entries are
     /// `(region name, DNC runs)` in region-registration order (layer
     /// order), omitting regions that starved nothing; empty when every
     /// run completed. GENESIS's fleet scoring uses this to point the
@@ -178,12 +180,10 @@ pub struct CellSummary {
     /// run of the cell (recovered and unrecoverable alike).
     pub corruption_detected: u64,
     /// Runs aborted with an unrecoverable-corruption verdict
-    /// ([`crate::exec::Corrupted`]).
+    /// ([`RunError::Corrupted`]).
     pub corrupted_runs: usize,
     /// Runs that failed with [`RunError::NonTermination`] specifically —
     /// its own counter, no longer folded into the generic DNC bucket.
-    ///
-    /// [`RunError::NonTermination`]: intermittent::sched::RunError::NonTermination
     pub non_termination: usize,
     /// The stuck task of the first non-terminating run, when any.
     pub non_termination_task: Option<String>,
@@ -222,121 +222,58 @@ pub(crate) fn stats(values: &[f64]) -> Option<Stats> {
     })
 }
 
-impl FleetCell {
-    /// Summarizes this cell's run population.
-    pub fn summarize(&self, spec: &DeviceSpec) -> CellSummary {
-        let completed: Vec<&FleetRun> = self.runs.iter().filter(|r| r.outcome.completed).collect();
-        let labeled = self.runs.iter().filter(|r| r.correct.is_some()).count();
-        let right = self
-            .runs
-            .iter()
-            .filter(|r| r.correct == Some(true) && r.outcome.completed)
-            .count();
-        let metric =
-            |f: &dyn Fn(&FleetRun) -> f64| -> Vec<f64> { completed.iter().map(|r| f(r)).collect() };
-        CellSummary {
-            backend: self.backend.clone(),
-            power: self.power.clone(),
-            runs: self.runs.len(),
-            completed: completed.len(),
-            completion_rate: if self.runs.is_empty() {
-                0.0
-            } else {
-                completed.len() as f64 / self.runs.len() as f64
-            },
-            accuracy: (labeled > 0).then(|| right as f64 / labeled as f64),
-            total_secs: stats(&metric(&|r| r.outcome.total_secs(spec))),
-            energy_mj: stats(&metric(&|r| r.outcome.energy_mj())),
-            reboots: stats(&metric(&|r| r.outcome.trace.reboots as f64)),
-            starved: self.starvation_histogram(),
-            sdc: self.runs.iter().filter(|r| r.sdc == Some(true)).count(),
-            corruption_detected: self
-                .runs
-                .iter()
-                .map(|r| r.outcome.corruption_detected)
-                .sum(),
-            corrupted_runs: self
-                .runs
-                .iter()
-                .filter(|r| r.outcome.corrupted.is_some())
-                .count(),
-            non_termination: self
-                .runs
-                .iter()
-                .filter(|r| r.outcome.non_termination_task.is_some())
-                .count(),
-            non_termination_task: self
-                .runs
-                .iter()
-                .find_map(|r| r.outcome.non_termination_task.clone()),
+impl CellSummary {
+    /// The non-termination count, naming the offending task when one was
+    /// recorded (`2(tile128-layer0)`), distinct from generic
+    /// does-not-complete starvation.
+    pub fn non_termination_label(&self) -> String {
+        match (&self.non_termination_task, self.non_termination) {
+            (Some(task), n) if n > 0 => format!("{n}({task})"),
+            (_, n) => n.to_string(),
         }
     }
 
-    /// Counts non-completed runs per starved region, in region
-    /// registration order (every run's trace carries the deployment's
-    /// region list, so the first run's order is the cell's layer order).
-    fn starvation_histogram(&self) -> Vec<(String, u64)> {
-        let mut order: Vec<String> = self
-            .runs
-            .first()
-            .map(|r| {
-                r.outcome
-                    .trace
-                    .regions
-                    .iter()
-                    .map(|x| x.name.clone())
-                    .collect()
-            })
-            .unwrap_or_default();
-        let mut counts: Vec<u64> = vec![0; order.len()];
-        for r in &self.runs {
-            let Some(name) = &r.outcome.starved_region else {
-                continue;
-            };
-            match order.iter().position(|n| n == name) {
-                Some(i) => counts[i] += 1,
-                None => {
-                    order.push(name.clone());
-                    counts.push(1);
-                }
-            }
+    /// The starvation histogram as `region:count` pairs (`-` when every
+    /// run completed).
+    pub fn starved_label(&self) -> String {
+        if self.starved.is_empty() {
+            return "-".to_string();
         }
-        order
-            .into_iter()
-            .zip(counts)
-            .filter(|&(_, c)| c > 0)
-            .collect()
+        let pairs: Vec<String> = self
+            .starved
+            .iter()
+            .map(|(name, count)| format!("{name}:{count}"))
+            .collect();
+        pairs.join(" ")
+    }
+}
+
+impl FleetCell {
+    /// Summarizes this cell's run population: the experiment service's
+    /// record fold over this cell's runs, so an in-RAM cell and one
+    /// replayed from disk summarize identically by construction.
+    pub fn summarize(&self, spec: &DeviceSpec) -> CellSummary {
+        // Every run's trace carries the deployment's region list, so the
+        // first run's order is the cell's layer order.
+        let regions = self.runs.first().map(region_names).unwrap_or_default();
+        summarize_records(spec, &self.backend, &self.power, &self.records(), &regions)
     }
 
     /// An order-sensitive FNV-1a digest over every bit-relevant per-run
     /// field. Two fleets with equal digests produced identical outputs,
     /// traces, and timings — the test suite's determinism anchor.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.put(self.backend_index as u64);
-        h.put(self.power_index as u64);
-        for r in &self.runs {
-            digest_run_fields(
-                &mut h,
-                r.input_index as u64,
-                r.outcome.completed,
-                r.outcome.class,
-                r.outcome.output.iter().map(|q| q.raw()),
-                r.outcome.trace.live_cycles,
-                r.outcome.trace.dead_secs.to_bits(),
-                r.outcome.trace.total_energy_pj,
-                r.outcome.trace.reboots,
-            );
-        }
-        h.finish()
+        cell_digest(self.backend_index, self.power_index, &self.records())
+    }
+
+    fn records(&self) -> Vec<RunRecord> {
+        self.runs.iter().map(RunRecord::from_run).collect()
     }
 }
 
-/// An order-sensitive FNV-1a hasher over little-endian 64-bit words —
-/// the digest primitive behind [`FleetCell::digest`], [`fleet_digest`],
-/// and the experiment service's record files, so a cell digest replayed
-/// from streamed records is structurally guaranteed to match the in-RAM
-/// one.
+/// An order-sensitive FNV-1a hasher — the digest primitive behind
+/// [`FleetCell::digest`], [`fleet_digest`], the experiment manifest and
+/// the shard-file seals.
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv(u64);
 
@@ -354,7 +291,12 @@ impl Fnv {
 
     /// Mixes the eight little-endian bytes of `x`.
     pub fn put(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
+        self.write(&x.to_le_bytes());
+    }
+
+    /// Mixes `bytes` in order.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
         }
@@ -364,34 +306,6 @@ impl Fnv {
     pub fn finish(self) -> u64 {
         self.0
     }
-}
-
-/// Feeds one run's bit-relevant fields into `h` — the single definition
-/// of the per-run digest layout, shared between in-RAM cells
-/// ([`FleetCell::digest`]) and records replayed from an experiment's
-/// shard files ([`crate::experiment`]).
-#[allow(clippy::too_many_arguments)]
-pub fn digest_run_fields(
-    h: &mut Fnv,
-    input_index: u64,
-    completed: bool,
-    class: Option<usize>,
-    output_raws: impl IntoIterator<Item = i16>,
-    live_cycles: u64,
-    dead_secs_bits: u64,
-    total_energy_pj: u64,
-    reboots: u64,
-) {
-    h.put(input_index);
-    h.put(completed as u64);
-    h.put(class.map(|c| c as u64 + 1).unwrap_or(0));
-    for q in output_raws {
-        h.put(q as u16 as u64);
-    }
-    h.put(live_cycles);
-    h.put(dead_secs_bits);
-    h.put(total_energy_pj);
-    h.put(reboots);
 }
 
 /// Digest of a whole fleet (cells in submission order).
@@ -517,27 +431,16 @@ pub fn run_shard_with_lanes(
             // The harvest profile will never power the device again:
             // every remaining input is an immediate DNC.
             dev.begin_epoch();
+            // The dead device is still parked in the region the original
+            // starving run was executing.
+            let error = RunError::SupplyDead {
+                task: starved_region_name(&dev),
+            };
             let run = FleetRun {
                 input_index: i,
                 correct: inp.label.map(|_| false),
                 sdc: None,
-                outcome: InferenceOutcome {
-                    backend: backend.label(),
-                    power: power.label(),
-                    completed: false,
-                    output: Vec::new(),
-                    class: None,
-                    trace: dev.epoch_report(),
-                    stats: None,
-                    error: Some(mcu::SupplyDead.to_string()),
-                    // The dead device is still parked in the region the
-                    // original starving run was executing.
-                    starved_region: Some(crate::exec::starved_region_name(&dev)),
-                    brownout: crate::exec::brownout_record(&dev),
-                    corruption_detected: 0,
-                    corrupted: None,
-                    non_termination_task: None,
-                },
+                outcome: InferenceOutcome::failed(dev.epoch_report(), 0, Failure::on(&dev, error)),
             };
             on_run(&run);
             runs.push(run);
@@ -853,12 +756,15 @@ mod tests {
         for r in &cells[0].runs {
             assert!(!r.outcome.completed);
             assert!(r.outcome.trace.dead_secs.is_finite());
-            let err = r.outcome.error.as_deref().unwrap_or("");
+            let f = r
+                .outcome
+                .verdict
+                .as_ref()
+                .expect_err("a dead supply cannot complete");
             assert!(
-                err.contains("never recharges") || err.contains("supply dead"),
-                "unexpected error: {err}"
+                matches!(f.error, RunError::SupplyDead { .. }),
+                "unexpected failure: {f:?}"
             );
-            assert!(r.outcome.starved_region.is_some());
         }
         // Every DNC run is attributed to a region; the dead-supply cell
         // parks all of them on the layer the original run starved in.
@@ -897,7 +803,12 @@ mod tests {
         assert_eq!(top_region, "fc", "attribution: {:?}", starved.starved);
         assert_eq!(*top_count, starved.runs as u64);
         for r in &cells[1].runs {
-            assert_eq!(r.outcome.starved_region.as_deref(), Some("fc"));
+            let f = r
+                .outcome
+                .verdict
+                .as_ref()
+                .expect_err("Tile-128 must DNC on 8 µF");
+            assert_eq!(f.region, "fc");
             // The per-region reboot counts behind the attribution: the
             // starving layer absorbed the power failures.
             let fc = r

@@ -35,13 +35,13 @@
 //! divergence.
 
 use crate::deploy::{deploy, DeployedKind, DeployedLayer, DeployedModel, IoBuf, UNDO_EMPTY};
-use crate::exec::Backend;
+use crate::exec::{Backend, Failure};
 use crate::tails::{CALIB_INITIAL, CALIB_MIN};
 use crate::{baseline, sonic, tails, tiled};
 use dnn::quant::QModel;
 use fxp::Q15;
 use intermittent::alpaca::AlpacaRt;
-use intermittent::sched::{run_observed, FailureEvent, RunStats, SchedulerConfig};
+use intermittent::sched::{run_observed, FailureEvent, RunError, RunStats, SchedulerConfig};
 use mcu::{
     Device, DeviceSpec, FaultKind, FaultPlan, FramWord, NvAddr, Phase, PowerSystem, RegionId,
 };
@@ -713,11 +713,9 @@ pub fn fault_free_reference(
     dm.load_input(&mut dev, input);
     let base = dev.ops_consumed();
     let out = crate::exec::run_deployed(&mut dev, &dm, backend);
-    assert!(
-        out.completed,
-        "fault-free reference must complete: {:?}",
-        out.error
-    );
+    if let Err(f) = &out.verdict {
+        panic!("fault-free reference must complete: {}", f.error);
+    }
     (out.output, dev.ops_consumed() - base)
 }
 
@@ -957,7 +955,7 @@ pub enum CorruptionOutcome {
         /// Guard detections noted during the run.
         detections: u64,
     },
-    /// Detected but unrecoverable: the run aborted with a `Corrupted`
+    /// Detected but unrecoverable: the run aborted with a `RunError::Corrupted`
     /// verdict instead of emitting a wrong answer.
     Aborted {
         /// Region (layer/task) where recovery was abandoned.
@@ -999,7 +997,7 @@ pub struct CorruptionReport {
     pub masked: u64,
     /// Flips detected and scrubbed, output unaffected.
     pub recovered: u64,
-    /// Flips that aborted the run with a `Corrupted` verdict.
+    /// Flips that aborted the run with a `RunError::Corrupted` verdict.
     pub aborted: u64,
     /// Flips that wedged the run without detection.
     pub wedged: u64,
@@ -1114,8 +1112,12 @@ pub fn classify_faults(
         } else {
             CorruptionOutcome::SilentWrong
         }
-    } else if let Some(c) = out.corrupted {
-        CorruptionOutcome::Aborted { region: c.region }
+    } else if let Err(Failure {
+        error: RunError::Corrupted { region, .. },
+        ..
+    }) = out.verdict
+    {
+        CorruptionOutcome::Aborted { region }
     } else {
         CorruptionOutcome::Wedged
     }

@@ -48,7 +48,7 @@
 use sonic_tails::mcu::{DeviceSpec, FaultKind, FaultPlan, HarvestProfile, PowerSystem};
 use sonic_tails::models::{trained, Network};
 use sonic_tails::sonic::exec::Backend;
-use sonic_tails::sonic::experiment::{run_experiment, ExperimentConfig};
+use sonic_tails::sonic::experiment::{run_experiment, ExperimentConfig, FailureKind};
 use sonic_tails::sonic::fleet::{FleetInput, FleetJob};
 
 struct Args {
@@ -229,24 +229,6 @@ fn main() {
     for cell in &outcome.cells {
         let s = &cell.summary;
         let fmt = |v: Option<f64>| v.map(|x| format!("{x:<12.4}")).unwrap_or("-".into());
-        // The starvation histogram: each run that did not complete is
-        // attributed to the layer (region) the device starved in.
-        let starved = if s.starved.is_empty() {
-            "-".to_string()
-        } else {
-            s.starved
-                .iter()
-                .map(|(name, n)| format!("{name}:{n}"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        // Non-terminating runs (commit-loop livelock, not starvation)
-        // get their own column: they are scheduler pathologies, and fold
-        // very differently into a deployment story than a DNC.
-        let nonterm = match (&s.non_termination_task, s.non_termination) {
-            (Some(task), n) => format!("{n}({task})"),
-            (None, _) => "0".to_string(),
-        };
         let fault_vals = if faulted {
             format!(
                 "{:<5} {:<9} {:<10} ",
@@ -261,13 +243,18 @@ fn main() {
             s.power,
             s.runs,
             s.completed,
-            nonterm,
+            // Non-terminating runs (commit-loop livelock, not starvation)
+            // get their own column: they are scheduler pathologies, and
+            // fold very differently into a deployment story than a DNC.
+            s.non_termination_label(),
             fault_vals,
             s.accuracy.map(|a| format!("{a:.3}")).unwrap_or("-".into()),
             fmt(s.total_secs.map(|t| t.p50)),
             fmt(s.total_secs.map(|t| t.p95)),
             s.reboots.map(|r| r.mean).unwrap_or(0.0),
-            starved,
+            // The starvation histogram: each run that did not complete is
+            // attributed to the layer (region) the device starved in.
+            s.starved_label(),
         );
     }
     // Brown-out forensics: every failed run records the exact charged op
@@ -276,10 +263,7 @@ fn main() {
     let mut header_printed = false;
     for cell in &outcome.cells {
         for rec in &cell.records {
-            if rec.completed {
-                continue;
-            }
-            if let Some(b) = &rec.brownout {
+            if let Some(b) = rec.failure.as_ref().and_then(|f| f.brownout.as_ref()) {
                 if !header_printed {
                     println!("\nfinal brown-out of each DNC run:");
                     header_printed = true;
@@ -296,17 +280,18 @@ fn main() {
     let mut corr_header = false;
     for cell in &outcome.cells {
         for rec in &cell.records {
-            if rec.corruption_detected == 0
-                && rec.corrupted_region.is_none()
-                && rec.sdc != Some(true)
-            {
+            let corrupted = match rec.failure.as_ref().map(|f| &f.kind) {
+                Some(FailureKind::Corrupted(region)) => Some(region),
+                _ => None,
+            };
+            if rec.corruption_detected == 0 && corrupted.is_none() && rec.sdc != Some(true) {
                 continue;
             }
             if !corr_header {
                 println!("\ncorruption forensics:");
                 corr_header = true;
             }
-            let verdict = match (&rec.corrupted_region, rec.sdc) {
+            let verdict = match (corrupted, rec.sdc) {
                 (Some(region), _) => format!("UNRECOVERABLE in {region}"),
                 (None, Some(true)) => "SILENT WRONG OUTPUT".to_string(),
                 _ => "detected and recovered".to_string(),

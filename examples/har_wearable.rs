@@ -20,11 +20,12 @@ fn main() {
     println!("\nimpl      power  completed  live(s)   total(s)  energy(mJ)");
     for backend in Backend::paper_suite() {
         for power in [PowerSystem::continuous(), PowerSystem::cap_100uf()] {
+            let power_label = power.label();
             let out = run_inference(&net.qmodel, &input, &spec, power, &backend);
             println!(
                 "{:<9} {:<6} {:<10} {:<9.4} {:<9.3} {:.3}",
-                out.backend,
-                out.power,
+                backend.label(),
+                power_label,
                 if out.completed { "yes" } else { "DNC" },
                 out.live_secs(&spec),
                 out.total_secs(&spec),

@@ -42,14 +42,16 @@ fn outcome_digest(o: &InferenceOutcome) -> u64 {
     }
     fnv(&mut h, o.class.map(|c| c as u64 + 1).unwrap_or(0));
     fnv_trace(&mut h, &o.trace);
-    if let Some(s) = &o.stats {
-        fnv(&mut h, s.transitions);
-        fnv(&mut h, s.body_attempts);
-        fnv(&mut h, s.reboots);
-    }
-    if let Some(e) = &o.error {
-        for b in e.as_bytes() {
-            fnv(&mut h, *b as u64);
+    match &o.verdict {
+        Ok(s) => {
+            fnv(&mut h, s.transitions);
+            fnv(&mut h, s.body_attempts);
+            fnv(&mut h, s.reboots);
+        }
+        Err(f) => {
+            for b in f.error.to_string().bytes() {
+                fnv(&mut h, b as u64);
+            }
         }
     }
     h

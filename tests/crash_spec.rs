@@ -102,6 +102,32 @@ fn exhaustive_single_fault_tails() {
 }
 
 #[test]
+fn exhaustive_single_fault_sonic_no_undo() {
+    exhaustive(Backend::SonicNoUndo);
+}
+
+/// The LEA/DMA ablations swap accelerator spans for the software
+/// per-word loops, so each gets its own every-boundary sweep.
+fn tails_config(use_lea: bool, use_dma: bool) -> Backend {
+    Backend::Tails(TailsConfig { use_lea, use_dma })
+}
+
+#[test]
+fn exhaustive_single_fault_tails_no_lea() {
+    exhaustive(tails_config(false, true));
+}
+
+#[test]
+fn exhaustive_single_fault_tails_no_dma() {
+    exhaustive(tails_config(true, false));
+}
+
+#[test]
+fn exhaustive_single_fault_tails_software() {
+    exhaustive(tails_config(false, false));
+}
+
+#[test]
 fn exhaustive_single_fault_tiled() {
     exhaustive(Backend::Tiled(4));
 }

@@ -7,21 +7,22 @@
 //! inference* (the scheduler's `FromEntry` policy); if total inference
 //! energy exceeds the device's buffer it never terminates.
 //!
-//! # Bundled accounting
+//! # Shared element loops
 //!
-//! The inner MAC loops charge the device per loop body via
-//! [`mcu::OpBundle`] instead of one [`Device::consume`] per op: the
-//! funded iterations execute through pre-charged accessors, and the first
-//! unfunded iteration replays through the original scalar sequence so a
-//! brown-out lands on exactly the same op (see `mcu::bundle`). The root
-//! `bundles` test suite pins bit-identical traces against the scalar
+//! Every inner loop is one [`mcu::LoopBody`], charged per iteration by
+//! [`mcu::run_loop`] (see `mcu::bundle`). The MAC, pooling and ReLU
+//! bodies here are generic over an `Act`: how a backend reads and
+//! writes activations and ends an iteration. The baseline uses `Plain`;
+//! SONIC adds a loop-continuation write ([`crate::sonic`]), and Stateful
+//! verifies and tags every activation word ([`crate::stateful`]). The
+//! root `bundles` test suite pins bit-identical traces against the scalar
 //! implementation.
 
 use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel};
 use dnn::quant::finish_acc;
 use fxp::{Accum, Q15};
 use intermittent::task::{TaskGraph, Transition};
-use mcu::{Device, Op, OpBundle, Phase, PowerFailure};
+use mcu::{run_loop, Device, FramBuf, LoopBody, Meter, Op, OpBundle, Phase, PowerFailure};
 
 /// Unpacks a flattened kernel offset into (c, ky, kx).
 #[inline]
@@ -35,137 +36,380 @@ pub(crate) fn unpack_tap(off: u16, kh: u32, kw: u32) -> (u32, u32, u32) {
 /// Charges the shift/bias finishing arithmetic (shared semantics with
 /// [`dnn::quant::finish_acc`]).
 #[inline]
-pub(crate) fn charge_finish(dev: &mut Device) -> Result<(), PowerFailure> {
-    dev.consume(Op::Alu)?; // shift
-    dev.consume(Op::FxpAdd) // bias add
+pub(crate) fn charge_finish<M: Meter>(m: &mut M) -> Result<(), PowerFailure> {
+    m.op(Op::Alu)?; // shift
+    m.op(Op::FxpAdd) // bias add
 }
 
-/// One dense-conv/dense-FC MAC iteration:
-/// weight read, address ALU, input read, multiply, add, incr, branch.
-fn mac_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel);
-    b.push(Op::Alu, Phase::Kernel);
-    b.push(Op::FramRead, Phase::Kernel);
-    b.push(Op::FxpMul, Phase::Kernel);
-    b.push(Op::FxpAdd, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
+/// How a backend moves activations through the shared element loops.
+/// Activations are plain words unless a backend says otherwise.
+pub(crate) trait Act: Copy {
+    /// Reads one input activation.
+    #[inline(always)]
+    fn read<M: Meter>(self, m: &mut M, buf: FramBuf, i: u32) -> Result<Q15, PowerFailure> {
+        m.read(buf, i)
+    }
+    /// Writes one output activation.
+    #[inline(always)]
+    fn write<M: Meter>(self, m: &mut M, buf: FramBuf, i: u32, v: Q15) -> Result<(), PowerFailure> {
+        m.write(buf, i, v)
+    }
+    /// Ends an element-loop iteration; `next` is the following index.
+    fn end<M: Meter>(self, m: &mut M, next: u32) -> Result<(), PowerFailure>;
 }
 
-/// One sparse-tap MAC iteration: offset read + unpack ALU precede the
-/// dense sequence.
-fn sparse_mac_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel); // packed offset / column
-    b.push(Op::Alu, Phase::Kernel); // unpack
-    b.push(Op::FramRead, Phase::Kernel); // weight
-    b.push(Op::Alu, Phase::Kernel); // address
-    b.push(Op::FramRead, Phase::Kernel); // input
-    b.push(Op::FxpMul, Phase::Kernel);
-    b.push(Op::FxpAdd, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
+/// The baseline's activations: plain words, volatile loop state.
+#[derive(Clone, Copy)]
+pub(crate) struct Plain;
+
+impl Act for Plain {
+    #[inline(always)]
+    fn end<M: Meter>(self, m: &mut M, _: u32) -> Result<(), PowerFailure> {
+        m.op(Op::Incr)?;
+        m.op(Op::Branch)
+    }
 }
 
-fn conv_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result<(), PowerFailure> {
+/// A dense MAC over one kernel window: weight read, address ALU, input
+/// read, multiply, add, incr, branch. The input index advances
+/// incrementally through the window (c, ky, kx) — the positions
+/// [`unpack_tap`] decodes, without the per-tap divisions. A
+/// fully-connected row is one window row spanning a `[1, n]` input.
+#[derive(Clone)]
+pub(crate) struct DenseMac<A> {
+    weights: FramBuf,
+    src: FramBuf,
+    /// Weights per output: the loop's trip count.
+    row_len: u32,
+    w_base: u32,
+    /// Kernel `[kh, kw]`, input width, and the index skips at a
+    /// kernel-row and a channel wrap.
+    kh: u32,
+    kw: u32,
+    w: u32,
+    row_skip: u32,
+    chan_skip: u32,
+    x: u32,
+    ky: u32,
+    kx: u32,
+    acc: Accum,
+    act: A,
+}
+
+impl<A: Act> LoopBody for DenseMac<A> {
+    #[inline(always)]
+    fn step<M: Meter>(&mut self, m: &mut M, t: u32) -> Result<(), PowerFailure> {
+        let wq = m.read(self.weights, self.w_base + t)?;
+        m.op(Op::Alu)?; // address
+        let xq = self.act.read(m, self.src, self.x)?;
+        m.op(Op::FxpMul)?;
+        m.op(Op::FxpAdd)?;
+        self.acc.mac(xq, wq);
+        m.op(Op::Incr)?;
+        m.op(Op::Branch)?;
+        self.x += 1;
+        self.kx += 1;
+        if self.kx == self.kw {
+            self.kx = 0;
+            self.x += self.row_skip;
+            self.ky += 1;
+            if self.ky == self.kh {
+                self.ky = 0;
+                self.x += self.chan_skip;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A sparse conv tap: packed-offset read and unpack ALU, weight read,
+/// address ALU, input read, multiply, add, incr, branch.
+#[derive(Clone)]
+pub(crate) struct SparseTapMac<A> {
+    rows: FramBuf,
+    taps: FramBuf,
+    src: FramBuf,
+    /// Input `[h, w]`, kernel `[kh, kw]`, output position `(oy, ox)`.
+    geom: [u32; 6],
+    acc: Accum,
+    act: A,
+}
+
+impl<A: Act> LoopBody for SparseTapMac<A> {
+    #[inline(always)]
+    fn step<M: Meter>(&mut self, m: &mut M, t: u32) -> Result<(), PowerFailure> {
+        let [h, w, kh, kw, oy, ox] = self.geom;
+        let off = m.read(self.taps, 2 * t)?.raw() as u16;
+        m.op(Op::Alu)?; // unpack
+        let (c, ky, kx) = unpack_tap(off, kh, kw);
+        let wq = m.read(self.taps, 2 * t + 1)?;
+        m.op(Op::Alu)?; // address
+        let xq = self
+            .act
+            .read(m, self.src, (c * h + oy + ky) * w + ox + kx)?;
+        m.op(Op::FxpMul)?;
+        m.op(Op::FxpAdd)?;
+        self.acc.mac(xq, wq);
+        m.op(Op::Incr)?;
+        m.op(Op::Branch)
+    }
+}
+
+/// A sparse-FC (row-gather) entry: column read, weight read, address
+/// ALU, input read, multiply, add, incr, branch.
+#[derive(Clone)]
+pub(crate) struct SparseRowMac<A> {
+    rows: FramBuf,
+    entries: FramBuf,
+    src: FramBuf,
+    acc: Accum,
+    act: A,
+}
+
+impl<A: Act> LoopBody for SparseRowMac<A> {
+    #[inline(always)]
+    fn step<M: Meter>(&mut self, m: &mut M, t: u32) -> Result<(), PowerFailure> {
+        let col = m.read(self.entries, 2 * t)?.raw() as u16 as u32;
+        let wq = m.read(self.entries, 2 * t + 1)?;
+        m.op(Op::Alu)?; // address
+        let xq = self.act.read(m, self.src, col)?;
+        m.op(Op::FxpMul)?;
+        m.op(Op::FxpAdd)?;
+        self.acc.mac(xq, wq);
+        m.op(Op::Incr)?;
+        m.op(Op::Branch)
+    }
+}
+
+/// One max-pool output: the window scan, the result write, the
+/// iteration's end.
+#[derive(Clone)]
+pub(crate) struct PoolBody<A> {
+    src: FramBuf,
+    dst: FramBuf,
+    /// Input `[h, w]`, window `[kh, kw]`, output `[oh, ow]`.
+    geom: [u32; 6],
+    act: A,
+}
+
+impl<A: Act> PoolBody<A> {
+    pub(crate) fn new(m: &DeployedModel, l: &DeployedLayer, act: A) -> Self {
+        let DeployedKind::Pool { kh, kw } = l.kind else {
+            unreachable!("pool body on non-pool")
+        };
+        let [_, h, w] = l.in_shape;
+        let [_, oh, ow] = l.out_shape;
+        PoolBody {
+            src: m.buf(l.src),
+            dst: m.buf(l.dst),
+            geom: [h, w, kh, kw, oh, ow],
+            act,
+        }
+    }
+}
+
+impl<A: Act> LoopBody for PoolBody<A> {
+    #[inline(always)]
+    fn step<M: Meter>(&mut self, m: &mut M, t: u32) -> Result<(), PowerFailure> {
+        let [h, w, kh, kw, oh, ow] = self.geom;
+        let ch = t / (oh * ow);
+        let oy = (t / ow) % oh;
+        let ox = t % ow;
+        let mut best = Q15::MIN;
+        for py in 0..kh {
+            for px in 0..kw {
+                m.op(Op::Alu)?;
+                let v = self
+                    .act
+                    .read(m, self.src, (ch * h + oy * kh + py) * w + ox * kw + px)?;
+                m.op(Op::Branch)?;
+                if v > best {
+                    best = v;
+                }
+            }
+        }
+        self.act.write(m, self.dst, t, best)?;
+        self.act.end(m, t + 1)
+    }
+}
+
+/// One in-place ReLU element (idempotent: relu(relu(x)) == relu(x)).
+#[derive(Clone)]
+pub(crate) struct ReluBody<A> {
+    buf: FramBuf,
+    act: A,
+}
+
+impl<A: Act> ReluBody<A> {
+    pub(crate) fn new(m: &DeployedModel, l: &DeployedLayer, act: A) -> Self {
+        ReluBody {
+            buf: m.buf(l.src),
+            act,
+        }
+    }
+}
+
+impl<A: Act> LoopBody for ReluBody<A> {
+    #[inline(always)]
+    fn step<M: Meter>(&mut self, m: &mut M, t: u32) -> Result<(), PowerFailure> {
+        let v = self.act.read(m, self.buf, t)?;
+        m.op(Op::Branch)?;
+        self.act.write(m, self.buf, t, v.relu())?;
+        self.act.end(m, t + 1)
+    }
+}
+
+/// The MAC loop of a conv or dense layer, in its weight format: built
+/// once per layer, run once per output.
+#[derive(Clone)]
+pub(crate) enum Mac<A> {
+    Dense(DenseMac<A>),
+    SparseTap(SparseTapMac<A>),
+    SparseRow(SparseRowMac<A>),
+}
+
+impl<A: Act> Mac<A> {
+    pub(crate) fn new(m: &DeployedModel, l: &DeployedLayer, act: A) -> Self {
+        let src = m.buf(l.src);
+        let [_, h, w] = l.in_shape;
+        let acc = Accum::ZERO;
+        // Input `[h, w]`, kernel `[kh, kw]`.
+        let dense = |weights, row_len, [h, w, kh, kw]: [u32; 4]| {
+            Mac::Dense(DenseMac {
+                weights,
+                src,
+                row_len,
+                w_base: 0,
+                kh,
+                kw,
+                w,
+                row_skip: w - kw,
+                chan_skip: (h - kh) * w,
+                x: 0,
+                ky: 0,
+                kx: 0,
+                acc,
+                act,
+            })
+        };
+        match l.kind {
+            DeployedKind::Conv {
+                dims: [_, nc, kh, kw],
+                weights,
+                sparse,
+                ..
+            } => match sparse {
+                Some((rows, taps)) => Mac::SparseTap(SparseTapMac {
+                    rows,
+                    taps,
+                    src,
+                    geom: [h, w, kh, kw, 0, 0],
+                    acc,
+                    act,
+                }),
+                None => dense(weights, nc * kh * kw, [h, w, kh, kw]),
+            },
+            DeployedKind::Dense {
+                dims: [_, in_n],
+                weights,
+                sparse_rows,
+                ..
+            } => match sparse_rows {
+                Some((rows, entries)) => Mac::SparseRow(SparseRowMac {
+                    rows,
+                    entries,
+                    src,
+                    acc,
+                    act,
+                }),
+                None => dense(weights, in_n, [1, in_n, 1, in_n]),
+            },
+            _ => unreachable!("MAC loop on a layer without weights"),
+        }
+    }
+
+    /// Runs the loop of conv output (f, oy, ox), or of dense output `f`
+    /// with `oy = ox = 0`, and returns its register accumulator: the
+    /// sparse form's row bounds, then the MACs. `iter` is the layer's
+    /// [`layer_bundle`] under the same `act`.
+    pub(crate) fn run(
+        &mut self,
+        dev: &mut Device,
+        iter: &OpBundle,
+        [f, oy, ox]: [u32; 3],
+    ) -> Result<Accum, PowerFailure> {
+        let bounds = |dev: &mut Device, rows| -> Result<(u32, u32), PowerFailure> {
+            let start = dev.read(rows, f)?.raw() as u16 as u32;
+            Ok((start, dev.read(rows, f + 1)?.raw() as u16 as u32))
+        };
+        match self {
+            Mac::Dense(b) => {
+                let n = b.row_len;
+                (b.w_base, b.x, b.ky, b.kx, b.acc) = (f * n, oy * b.w + ox, 0, 0, Accum::ZERO);
+                run_loop(dev, iter, b, 0, n)?;
+                Ok(b.acc)
+            }
+            Mac::SparseTap(b) => {
+                let (start, end) = bounds(dev, b.rows)?;
+                (b.geom[4], b.geom[5], b.acc) = (oy, ox, Accum::ZERO);
+                run_loop(dev, iter, b, start, end)?;
+                Ok(b.acc)
+            }
+            Mac::SparseRow(b) => {
+                let (start, end) = bounds(dev, b.rows)?;
+                b.acc = Accum::ZERO;
+                run_loop(dev, iter, b, start, end)?;
+                Ok(b.acc)
+            }
+        }
+    }
+}
+
+/// Dispatch for the layer's tally; [`Mac::run`] runs each body directly.
+impl<A: Act> LoopBody for Mac<A> {
+    fn step<M: Meter>(&mut self, m: &mut M, t: u32) -> Result<(), PowerFailure> {
+        match self {
+            Mac::Dense(b) => b.step(m, t),
+            Mac::SparseTap(b) => b.step(m, t),
+            Mac::SparseRow(b) => b.step(m, t),
+        }
+    }
+}
+
+/// The one-iteration bundle of layer `l`'s metered loop under `act`
+/// (empty for flatten): its MAC body for conv/dense layers, its element
+/// body for pool/ReLU. Tallied once, when the graph is built.
+pub(crate) fn layer_bundle<A: Act>(m: &DeployedModel, l: &DeployedLayer, act: A) -> OpBundle {
+    match l.kind {
+        DeployedKind::Conv { .. } | DeployedKind::Dense { .. } => {
+            OpBundle::tally(&Mac::new(m, l, act), Phase::Kernel)
+        }
+        DeployedKind::Pool { .. } => OpBundle::tally(&PoolBody::new(m, l, act), Phase::Kernel),
+        DeployedKind::Relu => OpBundle::tally(&ReluBody::new(m, l, act), Phase::Kernel),
+        DeployedKind::Flatten => OpBundle::new(),
+    }
+}
+
+fn conv_layer(
+    dev: &mut Device,
+    m: &DeployedModel,
+    l: &DeployedLayer,
+    iter: &OpBundle,
+) -> Result<(), PowerFailure> {
     let DeployedKind::Conv {
-        dims,
-        weights,
-        sparse,
-        bias,
-        shift,
+        dims, bias, shift, ..
     } = &l.kind
     else {
         unreachable!("conv_layer on non-conv")
     };
-    let [nf, nc, kh, kw] = *dims;
-    let [_, h, w] = l.in_shape;
     let [_, oh, ow] = l.out_shape;
-    let src = m.buf(l.src);
     let dst = m.buf(l.dst);
-    let dense_iter = mac_bundle();
-    let sparse_iter = sparse_mac_bundle();
-    let ntaps = nc * kh * kw;
-    for f in 0..nf {
+    let mut mac = Mac::new(m, l, Plain);
+    for f in 0..dims[0] {
         let b = dev.read(*bias, f)?;
         for oy in 0..oh {
             for ox in 0..ow {
-                let mut acc = Accum::ZERO;
-                match sparse {
-                    Some((row_ptr, taps)) => {
-                        let start = dev.read(*row_ptr, f)?.raw() as u16 as u32;
-                        let end = dev.read(*row_ptr, f + 1)?.raw() as u16 as u32;
-                        let mut t = start;
-                        while t < end {
-                            let funded = dev.consume_bundle(&sparse_iter, (end - t) as u64)? as u32;
-                            for k in t..t + funded {
-                                let off = dev.prepaid_read(*taps, 2 * k).raw() as u16;
-                                let (c, ky, kx) = unpack_tap(off, kh, kw);
-                                let wq = dev.prepaid_read(*taps, 2 * k + 1);
-                                let xq = dev.prepaid_read(src, (c * h + oy + ky) * w + ox + kx);
-                                acc.mac(xq, wq);
-                            }
-                            t += funded;
-                            if t < end {
-                                // Scalar replay of the unfunded iteration:
-                                // the brown-out lands on the exact op.
-                                let off = dev.read(*taps, 2 * t)?.raw() as u16;
-                                dev.consume(Op::Alu)?; // unpack
-                                let (c, ky, kx) = unpack_tap(off, kh, kw);
-                                let wq = dev.read(*taps, 2 * t + 1)?;
-                                dev.consume(Op::Alu)?; // address
-                                let xq = dev.read(src, (c * h + oy + ky) * w + ox + kx)?;
-                                dev.consume(Op::FxpMul)?;
-                                dev.consume(Op::FxpAdd)?;
-                                acc.mac(xq, wq);
-                                dev.consume(Op::Incr)?;
-                                dev.consume(Op::Branch)?;
-                                t += 1;
-                            }
-                        }
-                    }
-                    None => {
-                        let mut pos = 0u32;
-                        while pos < ntaps {
-                            let funded =
-                                dev.consume_bundle(&dense_iter, (ntaps - pos) as u64)? as u32;
-                            // (c, ky, kx) advance incrementally — same
-                            // values as unpack_tap, without the per-tap
-                            // divisions.
-                            let (mut c, mut ky, mut kx) = unpack_tap(pos as u16, kh, kw);
-                            for t in pos..pos + funded {
-                                let wq = dev.prepaid_read(*weights, f * ntaps + t);
-                                let xq = dev.prepaid_read(src, (c * h + oy + ky) * w + ox + kx);
-                                acc.mac(xq, wq);
-                                kx += 1;
-                                if kx == kw {
-                                    kx = 0;
-                                    ky += 1;
-                                    if ky == kh {
-                                        ky = 0;
-                                        c += 1;
-                                    }
-                                }
-                            }
-                            pos += funded;
-                            if pos < ntaps {
-                                let (c, ky, kx) = unpack_tap(pos as u16, kh, kw);
-                                let wq = dev.read(*weights, f * ntaps + pos)?;
-                                dev.consume(Op::Alu)?; // address
-                                let xq = dev.read(src, (c * h + oy + ky) * w + ox + kx)?;
-                                dev.consume(Op::FxpMul)?;
-                                dev.consume(Op::FxpAdd)?;
-                                acc.mac(xq, wq);
-                                dev.consume(Op::Incr)?;
-                                dev.consume(Op::Branch)?;
-                                pos += 1;
-                            }
-                        }
-                    }
-                }
+                let acc = mac.run(dev, iter, [f, oy, ox])?;
                 charge_finish(dev)?;
                 dev.write(dst, (f * oh + oy) * ow + ox, finish_acc(acc, *shift, b))?;
             }
@@ -174,77 +418,22 @@ fn conv_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result<
     Ok(())
 }
 
-fn dense_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result<(), PowerFailure> {
+fn dense_layer(
+    dev: &mut Device,
+    m: &DeployedModel,
+    l: &DeployedLayer,
+    iter: &OpBundle,
+) -> Result<(), PowerFailure> {
     let DeployedKind::Dense {
-        dims,
-        weights,
-        sparse_rows,
-        bias,
-        shift,
-        ..
+        dims, bias, shift, ..
     } = &l.kind
     else {
         unreachable!("dense_layer on non-dense")
     };
-    let [out_n, in_n] = *dims;
-    let src = m.buf(l.src);
     let dst = m.buf(l.dst);
-    let dense_iter = mac_bundle();
-    let sparse_iter = fc_sparse_bundle();
-    for o in 0..out_n {
-        let mut acc = Accum::ZERO;
-        match sparse_rows {
-            Some((row_ptr, entries)) => {
-                let start = dev.read(*row_ptr, o)?.raw() as u16 as u32;
-                let end = dev.read(*row_ptr, o + 1)?.raw() as u16 as u32;
-                let mut t = start;
-                while t < end {
-                    let funded = dev.consume_bundle(&sparse_iter, (end - t) as u64)? as u32;
-                    for k in t..t + funded {
-                        let col = dev.prepaid_read(*entries, 2 * k).raw() as u16 as u32;
-                        let wq = dev.prepaid_read(*entries, 2 * k + 1);
-                        let xq = dev.prepaid_read(src, col);
-                        acc.mac(xq, wq);
-                    }
-                    t += funded;
-                    if t < end {
-                        let col = dev.read(*entries, 2 * t)?.raw() as u16 as u32;
-                        let wq = dev.read(*entries, 2 * t + 1)?;
-                        dev.consume(Op::Alu)?;
-                        let xq = dev.read(src, col)?;
-                        dev.consume(Op::FxpMul)?;
-                        dev.consume(Op::FxpAdd)?;
-                        acc.mac(xq, wq);
-                        dev.consume(Op::Incr)?;
-                        dev.consume(Op::Branch)?;
-                        t += 1;
-                    }
-                }
-            }
-            None => {
-                let mut i = 0u32;
-                while i < in_n {
-                    let funded = dev.consume_bundle(&dense_iter, (in_n - i) as u64)? as u32;
-                    for k in i..i + funded {
-                        let wq = dev.prepaid_read(*weights, o * in_n + k);
-                        let xq = dev.prepaid_read(src, k);
-                        acc.mac(xq, wq);
-                    }
-                    i += funded;
-                    if i < in_n {
-                        let wq = dev.read(*weights, o * in_n + i)?;
-                        dev.consume(Op::Alu)?;
-                        let xq = dev.read(src, i)?;
-                        dev.consume(Op::FxpMul)?;
-                        dev.consume(Op::FxpAdd)?;
-                        acc.mac(xq, wq);
-                        dev.consume(Op::Incr)?;
-                        dev.consume(Op::Branch)?;
-                        i += 1;
-                    }
-                }
-            }
-        }
+    let mut mac = Mac::new(m, l, Plain);
+    for o in 0..dims[0] {
+        let acc = mac.run(dev, iter, [o, 0, 0])?;
         let b = dev.read(*bias, o)?;
         charge_finish(dev)?;
         dev.write(dst, o, finish_acc(acc, *shift, b))?;
@@ -252,153 +441,24 @@ fn dense_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result
     Ok(())
 }
 
-/// One sparse-FC (row-gather) MAC iteration: column read, weight read,
-/// address ALU, input read, multiply, add, incr, branch.
-fn fc_sparse_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel); // column
-    b.push(Op::FramRead, Phase::Kernel); // weight
-    b.push(Op::Alu, Phase::Kernel);
-    b.push(Op::FramRead, Phase::Kernel); // input
-    b.push(Op::FxpMul, Phase::Kernel);
-    b.push(Op::FxpAdd, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
-}
-
-/// One max-pool output: the window scan plus the result write.
-fn pool_bundle(kh: u32, kw: u32) -> OpBundle {
-    let mut b = OpBundle::new();
-    for _ in 0..kh * kw {
-        b.push(Op::Alu, Phase::Kernel);
-        b.push(Op::FramRead, Phase::Kernel);
-        b.push(Op::Branch, Phase::Kernel);
-    }
-    b.push(Op::FramWrite, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
-}
-
-pub(crate) fn pool_layer_direct(
+/// Runs one layer with baseline semantics; `iter` is its
+/// [`layer_bundle`] under [`Plain`].
+fn run_layer(
     dev: &mut Device,
     m: &DeployedModel,
     l: &DeployedLayer,
-    from: u32,
-) -> Result<(), PowerFailure> {
-    let DeployedKind::Pool { kh, kw } = l.kind else {
-        unreachable!("pool_layer on non-pool")
-    };
-    let [c, h, w] = l.in_shape;
-    let [_, oh, ow] = l.out_shape;
-    let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
-    let total = c * oh * ow;
-    let iter = pool_bundle(kh, kw);
-    let pool_one = |dev: &Device, o: u32| -> Q15 {
-        let ch = o / (oh * ow);
-        let oy = (o / ow) % oh;
-        let ox = o % ow;
-        let mut best = Q15::MIN;
-        for py in 0..kh {
-            for px in 0..kw {
-                let v = dev.prepaid_read(src, (ch * h + oy * kh + py) * w + ox * kw + px);
-                if v > best {
-                    best = v;
-                }
-            }
-        }
-        best
-    };
-    let mut o = from;
-    while o < total {
-        let funded = dev.consume_bundle(&iter, (total - o) as u64)? as u32;
-        for k in o..o + funded {
-            let best = pool_one(dev, k);
-            dev.prepaid_write(dst, k, best);
-        }
-        o += funded;
-        if o < total {
-            // Scalar replay of the unfunded output.
-            let ch = o / (oh * ow);
-            let oy = (o / ow) % oh;
-            let ox = o % ow;
-            let mut best = Q15::MIN;
-            for py in 0..kh {
-                for px in 0..kw {
-                    dev.consume(Op::Alu)?;
-                    let v = dev.read(src, (ch * h + oy * kh + py) * w + ox * kw + px)?;
-                    dev.consume(Op::Branch)?;
-                    if v > best {
-                        best = v;
-                    }
-                }
-            }
-            dev.write(dst, o, best)?;
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            o += 1;
-        }
-    }
-    Ok(())
-}
-
-/// One in-place ReLU element.
-fn relu_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b.push(Op::FramWrite, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
-}
-
-pub(crate) fn relu_layer_direct(
-    dev: &mut Device,
-    m: &DeployedModel,
-    l: &DeployedLayer,
-    from: u32,
-) -> Result<(), PowerFailure> {
-    let [c, h, w] = l.in_shape;
-    let buf = m.buf(l.src);
-    let total = c * h * w;
-    let iter = relu_bundle();
-    let mut i = from;
-    while i < total {
-        let funded = dev.consume_bundle(&iter, (total - i) as u64)? as u32;
-        for k in i..i + funded {
-            let v = dev.prepaid_read(buf, k);
-            dev.prepaid_write(buf, k, v.relu());
-        }
-        i += funded;
-        if i < total {
-            let v = dev.read(buf, i)?;
-            dev.consume(Op::Branch)?;
-            // In-place: idempotent because relu(relu(x)) == relu(x).
-            dev.write(buf, i, v.relu())?;
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            i += 1;
-        }
-    }
-    Ok(())
-}
-
-/// Runs one layer with baseline semantics (shared with TAILS's software
-/// paths where noted).
-pub(crate) fn run_layer(
-    dev: &mut Device,
-    m: &DeployedModel,
-    l: &DeployedLayer,
+    iter: &OpBundle,
 ) -> Result<(), PowerFailure> {
     dev.set_context(l.region, Phase::Kernel);
+    let total = l.in_shape.iter().product();
     match &l.kind {
-        DeployedKind::Conv { .. } => conv_layer(dev, m, l),
-        DeployedKind::Dense { .. } => dense_layer(dev, m, l),
-        DeployedKind::Pool { .. } => pool_layer_direct(dev, m, l, 0),
-        DeployedKind::Relu => relu_layer_direct(dev, m, l, 0),
+        DeployedKind::Conv { .. } => conv_layer(dev, m, l, iter),
+        DeployedKind::Dense { .. } => dense_layer(dev, m, l, iter),
+        DeployedKind::Pool { .. } => {
+            let total = l.out_shape.iter().product();
+            run_loop(dev, iter, &mut PoolBody::new(m, l, Plain), 0, total)
+        }
+        DeployedKind::Relu => run_loop(dev, iter, &mut ReluBody::new(m, l, Plain), 0, total),
         DeployedKind::Flatten => Ok(()),
     }
 }
@@ -406,10 +466,15 @@ pub(crate) fn run_layer(
 /// Builds the baseline inference graph: a single unprotected task.
 pub fn build(m: &DeployedModel) -> TaskGraph<()> {
     let m = m.clone();
+    let bundles: Vec<OpBundle> = m
+        .layers
+        .iter()
+        .map(|l| layer_bundle(&m, l, Plain))
+        .collect();
     let mut g = TaskGraph::new();
     g.add("baseline-inference", move |dev, _| {
-        for l in &m.layers {
-            run_layer(dev, &m, l)?;
+        for (l, iter) in m.layers.iter().zip(&bundles) {
+            run_layer(dev, &m, l, iter)?;
         }
         Ok(Transition::Done)
     });

@@ -419,6 +419,9 @@ pub fn run_shard_with_lanes(
     );
     let mut runs = Vec::with_capacity(shard.len);
     let mut supply_dead = false;
+    // The task named by the last failed run: when the supply then dies
+    // for good, every later input inherits that run's stuck point.
+    let mut parked_task: Option<String> = None;
     for i in shard.start..shard.start + shard.len {
         let inp = &job.inputs[i];
         // Recover from a previous DNC: bring the device back up (dead
@@ -431,10 +434,12 @@ pub fn run_shard_with_lanes(
             // The harvest profile will never power the device again:
             // every remaining input is an immediate DNC.
             dev.begin_epoch();
-            // The dead device is still parked in the region the original
-            // starving run was executing.
+            // The dead device is still parked where the original
+            // starving run gave up: name the same task that run named.
             let error = RunError::SupplyDead {
-                task: starved_region_name(&dev),
+                task: parked_task
+                    .clone()
+                    .unwrap_or_else(|| starved_region_name(&dev)),
             };
             let run = FleetRun {
                 input_index: i,
@@ -456,6 +461,12 @@ pub fn run_shard_with_lanes(
         if !outcome.completed {
             reset_control_words(&mut dev, &dm);
         }
+        parked_task = outcome
+            .verdict
+            .as_ref()
+            .err()
+            .and_then(|f| f.error.task())
+            .map(str::to_owned);
         let correct = match (inp.label, outcome.class, outcome.completed) {
             (Some(l), Some(c), true) => Some(c == l),
             (Some(_), _, _) => Some(false),
@@ -564,10 +575,18 @@ pub fn run_fleet_serial(job: &FleetJob<'_>) -> Vec<FleetCell> {
     assemble_cells(job, &plan, results)
 }
 
-/// Ordered parallel map over fleet shards (the `genesis::parallel`
-/// work-queue pattern: LIFO execution, indexed collect).
+/// Maps `f` over `items` on every available core, returning results in
+/// `items` order.
+///
+/// Used for fleet shards, experiment shards and the GENESIS sweep: each
+/// item is independent and deterministic, so they may run on any number
+/// of threads as long as results come back in submission order. `rayon`
+/// is unavailable offline (see `vendor/README.md`), so this is a small
+/// `std::thread::scope` work queue: LIFO execution, then an indexed
+/// collect. With the `parallel` feature off the same entry point maps
+/// serially, so feature on/off produce identical results.
 #[cfg(feature = "parallel")]
-pub(crate) fn par_map<T, U, F>(items: Vec<T>, f: &F) -> Vec<U>
+pub fn par_map<T, U, F>(items: Vec<T>, f: &F) -> Vec<U>
 where
     T: Send,
     U: Send,
@@ -583,6 +602,8 @@ where
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
+    // LIFO queue: order of *execution* is irrelevant, order of results is
+    // restored by the index sort below.
     let queue: Mutex<Vec<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
     let results: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(n));
     std::thread::scope(|scope| {
@@ -602,7 +623,7 @@ where
 
 /// Serial fallback with the identical signature and result order.
 #[cfg(not(feature = "parallel"))]
-pub(crate) fn par_map<T, U, F>(items: Vec<T>, f: &F) -> Vec<U>
+pub fn par_map<T, U, F>(items: Vec<T>, f: &F) -> Vec<U>
 where
     T: Send,
     U: Send,
@@ -639,6 +660,19 @@ mod tests {
             replicas: 1,
             faults: None,
         }
+    }
+
+    #[test]
+    fn par_map_preserves_order() {
+        let items: Vec<u64> = (0..100).collect();
+        let out = par_map(items, &|x| x * x);
+        assert_eq!(out, (0..100).map(|x| x * x).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn par_map_handles_empty_and_single() {
+        assert_eq!(par_map(Vec::<u32>::new(), &|x| x), Vec::<u32>::new());
+        assert_eq!(par_map(vec![7u32], &|x| x + 1), vec![8]);
     }
 
     #[test]
@@ -753,6 +787,7 @@ mod tests {
         assert_eq!(s.completed, 0);
         assert_eq!(s.accuracy, Some(0.0), "DNC counts as wrong");
         assert!(s.total_secs.is_none());
+        let mut tasks = Vec::new();
         for r in &cells[0].runs {
             assert!(!r.outcome.completed);
             assert!(r.outcome.trace.dead_secs.is_finite());
@@ -761,11 +796,17 @@ mod tests {
                 .verdict
                 .as_ref()
                 .expect_err("a dead supply cannot complete");
-            assert!(
-                matches!(f.error, RunError::SupplyDead { .. }),
-                "unexpected failure: {f:?}"
-            );
+            match &f.error {
+                RunError::SupplyDead { task } => tasks.push(task.clone()),
+                _ => panic!("unexpected failure: {f:?}"),
+            }
         }
+        // One stuck point, one name: the later runs carry forward the
+        // task the scheduler named for the run that starved.
+        assert!(
+            tasks.iter().all(|t| *t == tasks[0]),
+            "SupplyDead tasks differ: {tasks:?}"
+        );
         // Every DNC run is attributed to a region; the dead-supply cell
         // parks all of them on the layer the original run starved in.
         let total: u64 = s.starved.iter().map(|(_, c)| c).sum();

@@ -32,21 +32,22 @@
 //!
 //! # Bundled accounting
 //!
-//! Every inner loop charges the simulated device per loop body
-//! ([`mcu::OpBundle`] + [`Device::consume_bundle`]) instead of per op:
-//! the funded iterations run through pre-charged accessors (identical
-//! arithmetic, identical FRAM effects), and the first unfunded iteration
-//! replays through the original scalar sequence so a brown-out lands on
-//! exactly the same op with exactly the same partial memory effects. The
-//! root `bundles` test suite pins bit-identical traces and outputs
-//! against digests recorded from the scalar implementation.
+//! Every inner loop is written once, as an [`mcu::LoopBody`] whose step
+//! charges each op through an [`mcu::Meter`]; [`mcu::run_loop`] funds
+//! whole iterations with the body's tallied bundle, runs them through
+//! pre-charged accessors, and runs the first unfunded iteration op by op
+//! so a brown-out lands on exactly the same op with exactly the same
+//! partial memory effects. Pooling and ReLU share the baseline's bodies
+//! ([`crate::baseline`]) with a loop-continuation tail. The root
+//! `bundles` test suite pins bit-identical traces and outputs against
+//! digests recorded from the scalar implementation.
 
-use crate::baseline::{charge_finish, unpack_tap};
+use crate::baseline::{charge_finish, layer_bundle, unpack_tap, Act, PoolBody, ReluBody};
 use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel, UNDO_EMPTY};
 use dnn::quant::finish_acc;
 use fxp::{Accum, Q15};
 use intermittent::task::{TaskGraph, Transition};
-use mcu::{Device, FramBuf, Op, OpBundle, Phase, PowerFailure};
+use mcu::{run_loop, Device, FramBuf, LoopBody, Meter, Op, OpBundle, Phase, PowerFailure};
 
 /// Reads a control word under the ECC integrity guard, charging exactly
 /// like a plain [`Device::load_word`] when the check bits pass. A read
@@ -100,116 +101,242 @@ fn store_ctl(
     dev.store_word(w, v)
 }
 
-/// The per-iteration loop-continuation epilogue shared by every SONIC
-/// loop: the control-phase index write plus increment and back-branch.
-fn push_continuation(b: &mut OpBundle) {
-    b.push(Op::FramWrite, Phase::Control);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
+/// SONIC's element loops: plain activations, and a loop-continuation
+/// write of `base + next` to `ctl` ending every iteration.
+#[derive(Clone, Copy)]
+pub(crate) struct Continued {
+    ctl: mcu::FramWord,
+    base: u32,
 }
 
-// ----- precomputed iteration bundles --------------------------------
+impl Continued {
+    pub(crate) fn at(ctl: mcu::FramWord) -> Self {
+        Continued { ctl, base: 0 }
+    }
+}
+
+impl Act for Continued {
+    /// The index write that checkpoints progress, then increment and
+    /// back-branch.
+    #[inline(always)]
+    fn end<M: Meter>(self, m: &mut M, next: u32) -> Result<(), PowerFailure> {
+        m.store_ctl(self.ctl, (self.base + next) as u16)?;
+        m.op(Op::Incr)?;
+        m.op(Op::Branch)?;
+        m.progress();
+        Ok(())
+    }
+}
+
+// ----- iteration bodies ---------------------------------------------
 //
 // Bundles depend only on layer geometry and loop variant, so they are
-// built once at graph-build time and captured by the task closures —
-// task entries (SONIC enters a task once per filter element) reuse them
-// instead of reallocating.
+// tallied once at graph-build time and captured by the task closures —
+// task entries (SONIC enters a task once per filter element) reuse them.
 
-/// One loop-ordered MAC iteration (conv tap pass and dense input pass
-/// share the exact op sequence): address ALU, operand read, multiply,
-/// previous-partial add+read on non-first passes, partial write,
-/// loop continuation.
-fn mac_iter_bundle(first: bool) -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::Alu, Phase::Kernel);
-    b.push(Op::FramRead, Phase::Kernel);
-    b.push(Op::FxpMul, Phase::Kernel);
-    if !first {
-        b.push(Op::FxpAdd, Phase::Kernel);
-        b.push(Op::FramRead, Phase::Kernel);
-    }
-    b.push(Op::FramWrite, Phase::Kernel);
-    push_continuation(&mut b);
-    b
+/// One loop-ordered MAC iteration (a conv tap pass and a dense input
+/// pass share it): address ALU, operand read, multiply, previous-partial
+/// add+read on non-first passes, partial write, loop continuation.
+///
+/// The operand index advances incrementally (no per-element div/mod):
+/// `row + col`, with `col` wrapping at `width` and `row` then stepping
+/// by `stride`. A conv tap reads its input window this way; a dense pass
+/// reads one weight column (`width = 1`, `stride = in_n`).
+#[derive(Clone)]
+struct MacPass {
+    operand: FramBuf,
+    scale: Q15,
+    first: bool,
+    dest: FramBuf,
+    inter: FramBuf,
+    row: u32,
+    col: u32,
+    width: u32,
+    stride: u32,
+    cont: Continued,
 }
 
-/// One finishing-pass iteration: optional partial read, optional
-/// per-element bias read, shift+bias arithmetic, output write,
-/// loop continuation.
-pub(crate) fn finish_bundle(with_partial: bool, with_bias: bool) -> OpBundle {
-    let mut b = OpBundle::new();
-    if with_partial {
-        b.push(Op::FramRead, Phase::Kernel);
+impl MacPass {
+    /// The pass of loop position `pos` from its first iteration: writes
+    /// plane `pos % 2` and, after the first pass, reads the other one.
+    /// Callers position the operand cursor.
+    fn new(m: &DeployedModel, l: &DeployedLayer, pos: u32, operand: FramBuf, scale: Q15) -> Self {
+        let (dest, inter) = if pos.is_multiple_of(2) {
+            (m.plane_a, m.plane_b)
+        } else {
+            (m.plane_b, m.plane_a)
+        };
+        MacPass {
+            operand,
+            scale,
+            first: pos == 0,
+            dest,
+            inter,
+            row: 0,
+            col: 0,
+            width: 1,
+            stride: 0,
+            cont: Continued::at(l.idx),
+        }
     }
-    if with_bias {
-        b.push(Op::FramRead, Phase::Kernel);
+
+    fn bundles(m: &DeployedModel, l: &DeployedLayer) -> [OpBundle; 2] {
+        [0, 1].map(|pos| {
+            OpBundle::tally(
+                &MacPass::new(m, l, pos, m.plane_a, Q15::ZERO),
+                Phase::Kernel,
+            )
+        })
     }
-    b.push(Op::Alu, Phase::Kernel); // charge_finish: shift
-    b.push(Op::FxpAdd, Phase::Kernel); // charge_finish: bias add
-    b.push(Op::FramWrite, Phase::Kernel);
-    push_continuation(&mut b);
-    b
 }
 
-/// One max-pool output: window scan plus result write.
-pub(crate) fn pool_iter_bundle(kh: u32, kw: u32) -> OpBundle {
-    let mut b = OpBundle::new();
-    for _ in 0..kh * kw {
-        b.push(Op::Alu, Phase::Kernel);
-        b.push(Op::FramRead, Phase::Kernel);
-        b.push(Op::Branch, Phase::Kernel);
+impl LoopBody for MacPass {
+    #[inline(always)]
+    fn step<M: Meter>(&mut self, m: &mut M, t: u32) -> Result<(), PowerFailure> {
+        m.op(Op::Alu)?;
+        let x = m.read(self.operand, self.row + self.col)?;
+        m.op(Op::FxpMul)?;
+        let prod = x * self.scale;
+        let v = if self.first {
+            prod
+        } else {
+            m.op(Op::FxpAdd)?;
+            m.read(self.inter, t)? + prod
+        };
+        m.write(self.dest, t, v)?;
+        self.col += 1;
+        if self.col == self.width {
+            self.col = 0;
+            self.row += self.stride;
+        }
+        self.cont.end(m, t + 1)
     }
-    b.push(Op::FramWrite, Phase::Kernel);
-    push_continuation(&mut b);
-    b
 }
 
-/// One in-place ReLU element.
-pub(crate) fn relu_iter_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b.push(Op::FramWrite, Phase::Kernel);
-    push_continuation(&mut b);
-    b
+/// A finishing pass's bias: one word per output, or one per filter.
+#[derive(Clone, Copy)]
+pub(crate) enum Bias {
+    PerElement(FramBuf),
+    Const(Q15),
 }
 
-/// Conv-layer task bundles.
+/// One finishing-pass iteration: optional partial read, bias read or
+/// constant, shift+bias arithmetic, output write, loop continuation.
+/// `partial: None` means a zero partial (fully pruned filter).
+#[derive(Clone)]
+pub(crate) struct Finish {
+    partial: Option<FramBuf>,
+    bias: Bias,
+    shift: i32,
+    dst: FramBuf,
+    dst_base: u32,
+    cont: Continued,
+}
+
+impl Finish {
+    pub(crate) fn new(
+        m: &DeployedModel,
+        l: &DeployedLayer,
+        partial: Option<FramBuf>,
+        bias: Bias,
+        dst_base: u32,
+    ) -> Self {
+        let (DeployedKind::Conv { shift, .. } | DeployedKind::Dense { shift, .. }) = l.kind else {
+            unreachable!("finishing pass on a layer without weights")
+        };
+        Finish {
+            partial,
+            bias,
+            shift,
+            dst: m.buf(l.dst),
+            dst_base,
+            cont: Continued::at(l.idx),
+        }
+    }
+
+    /// Continuation words count from `base` (a packed stage word).
+    fn ctl_base(mut self, base: u32) -> Self {
+        self.cont.base = base;
+        self
+    }
+
+    pub(crate) fn bundle(&self) -> OpBundle {
+        OpBundle::tally(self, Phase::Kernel)
+    }
+}
+
+impl LoopBody for Finish {
+    #[inline(always)]
+    fn step<M: Meter>(&mut self, m: &mut M, t: u32) -> Result<(), PowerFailure> {
+        let partial = match self.partial {
+            Some(p) => Accum::from_q15(m.read(p, t)?),
+            None => Accum::ZERO,
+        };
+        let b = match self.bias {
+            Bias::PerElement(bb) => m.read(bb, t)?,
+            Bias::Const(b) => b,
+        };
+        charge_finish(m)?;
+        m.write(
+            self.dst,
+            self.dst_base + t,
+            finish_acc(partial, self.shift, b),
+        )?;
+        self.cont.end(m, t + 1)
+    }
+}
+
+/// The partial plane a finishing pass reads after `passes` loop-ordered
+/// passes (`None` after none: a fully pruned filter).
+fn final_plane(m: &DeployedModel, passes: u32) -> Option<FramBuf> {
+    match passes {
+        0 => None,
+        n if (n - 1) % 2 == 0 => Some(m.plane_a),
+        _ => Some(m.plane_b),
+    }
+}
+
+/// Conv-layer task bundles: tap passes (first, later), finishing passes
+/// (with a partial plane, fully pruned).
 #[derive(Clone)]
 struct ConvBundles {
-    tap_first: OpBundle,
-    tap_rest: OpBundle,
-    finish: OpBundle,
-    finish_zero: OpBundle,
+    tap: [OpBundle; 2],
+    finish: [OpBundle; 2],
 }
 
 impl ConvBundles {
-    fn new() -> Self {
+    fn new(m: &DeployedModel, l: &DeployedLayer) -> Self {
+        let finish = |p| Finish::new(m, l, p, Bias::Const(Q15::ZERO), 0).bundle();
         ConvBundles {
-            tap_first: mac_iter_bundle(true),
-            tap_rest: mac_iter_bundle(false),
-            finish: finish_bundle(true, false),
-            finish_zero: finish_bundle(false, false),
+            tap: MacPass::bundles(m, l),
+            finish: [finish(Some(m.plane_a)), finish(None)],
         }
     }
 }
 
-/// Dense-layer task bundles.
+/// Dense-layer task bundles: input passes (first, later) and the finish.
 #[derive(Clone)]
 struct DenseBundles {
-    first: OpBundle,
-    rest: OpBundle,
+    pass: [OpBundle; 2],
     finish: OpBundle,
 }
 
 impl DenseBundles {
-    fn new() -> Self {
+    fn new(m: &DeployedModel, l: &DeployedLayer) -> Self {
         DenseBundles {
-            first: mac_iter_bundle(true),
-            rest: mac_iter_bundle(false),
-            finish: finish_bundle(true, true),
+            pass: MacPass::bundles(m, l),
+            finish: dense_finish(m, l, 1).bundle(),
         }
     }
+}
+
+/// The finishing pass of a dense layer after `passes` passes: per-output
+/// biases.
+fn dense_finish(m: &DeployedModel, l: &DeployedLayer, passes: u32) -> Finish {
+    let DeployedKind::Dense { bias, .. } = l.kind else {
+        unreachable!("dense finish on non-dense")
+    };
+    Finish::new(m, l, final_plane(m, passes), Bias::PerElement(bias), 0)
 }
 
 /// Sparse-FC (undo-logging) task bundles.
@@ -221,65 +348,37 @@ pub(crate) struct SparseBundles {
 }
 
 impl SparseBundles {
-    pub(crate) fn new() -> Self {
-        let mut zero = OpBundle::new();
-        zero.push(Op::FramWrite, Phase::Kernel);
-        push_continuation(&mut zero);
-        // One in-column scatter iteration: loop branch, column check
-        // read, entry (row, weight) reads, partial read, the two undo
-        // writes, the MAC, the in-place write, and loop continuation.
-        let mut accum = OpBundle::new();
-        accum.push(Op::Branch, Phase::Kernel);
-        accum.push(Op::FramRead, Phase::Kernel); // column check
-        accum.push(Op::FramRead, Phase::Kernel); // entry row
-        accum.push(Op::FramRead, Phase::Kernel); // entry weight
-        accum.push(Op::FramRead, Phase::Kernel); // current partial
-        accum.push(Op::FramWrite, Phase::Kernel); // undo value
-        accum.push(Op::FramWrite, Phase::Kernel); // undo tag
-        accum.push(Op::FxpMul, Phase::Kernel);
-        accum.push(Op::FxpAdd, Phase::Kernel);
-        accum.push(Op::FramWrite, Phase::Kernel); // in-place update
-        push_continuation(&mut accum);
+    pub(crate) fn new(m: &DeployedModel, l: &DeployedLayer) -> Self {
+        let st = SparseState::of(l);
         SparseBundles {
-            zero,
-            accum,
-            finish: finish_bundle(true, true),
+            zero: OpBundle::tally(&ZeroPass::new(m, l), Phase::Kernel),
+            accum: OpBundle::tally(&Scatter::new(m, l, st, 0, Q15::ZERO), Phase::Kernel),
+            finish: dense_finish(m, l, 1).bundle(),
         }
     }
 }
 
-/// Loop-ordered sparse ablation bundles: pass-through rows with/without
-/// a pending entry to check, first/later input columns, plus the finish.
+/// Loop-ordered sparse ablation bundles: pass-through rows for
+/// `[first pass][entries remain]`, plus the finish.
 #[derive(Clone)]
 struct LoopOrderedBundles {
-    pass_first: OpBundle,
-    pass_rest: OpBundle,
-    drain_first: OpBundle,
-    drain_rest: OpBundle,
+    pass: [[OpBundle; 2]; 2],
     finish: OpBundle,
 }
 
 impl LoopOrderedBundles {
-    fn new() -> Self {
-        let pass = |first: bool, has_entries: bool| {
-            let mut b = OpBundle::new();
-            if !first {
-                b.push(Op::FramRead, Phase::Kernel); // previous partial
-            }
-            b.push(Op::Branch, Phase::Kernel);
-            if has_entries {
-                b.push(Op::FramRead, Phase::Kernel); // entry row (hit check)
-            }
-            b.push(Op::FramWrite, Phase::Kernel);
-            push_continuation(&mut b);
-            b
+    fn new(m: &DeployedModel, l: &DeployedLayer) -> Self {
+        let pass = |j: u32| {
+            [0, 1].map(|pending| {
+                OpBundle::tally(
+                    &PassThrough::new(m, l, j, Q15::ZERO, 0, pending),
+                    Phase::Kernel,
+                )
+            })
         };
         LoopOrderedBundles {
-            pass_first: pass(true, true),
-            pass_rest: pass(false, true),
-            drain_first: pass(true, false),
-            drain_rest: pass(false, false),
-            finish: finish_bundle(true, true),
+            pass: [pass(0), pass(1)],
+            finish: dense_finish(m, l, 1).bundle(),
         }
     }
 }
@@ -338,79 +437,22 @@ fn conv_ntaps(
 /// The shift+bias finishing loop shared (modulo sources) by conv, dense,
 /// and sparse-dense layers — SONIC's and TAILS's alike: reads the
 /// partial, applies shift+bias, writes the output, checkpoints the index.
-///
-/// `partial_src`: `Some(plane)` reads `plane[j]`; `None` means a zero
-/// partial (fully pruned filter). `per_elem_bias`: per-element bias
-/// reads, or the filter-constant `bias_const` read before the loop.
-#[allow(clippy::too_many_arguments)]
+/// `iter` is `body`'s bundle.
 pub(crate) fn finish_pass(
     dev: &mut Device,
     l: &DeployedLayer,
     iter: &OpBundle,
-    ctl: mcu::FramWord,
-    partial_src: Option<FramBuf>,
-    per_elem_bias: Option<FramBuf>,
-    bias_const: Q15,
-    dst: FramBuf,
-    dst_base: u32,
+    mut body: Finish,
     total: u32,
-    shift: i32,
-    pack: impl Fn(u32) -> u16,
-    mut j: u32,
+    from: u32,
 ) -> Result<(), PowerFailure> {
-    debug_assert_eq!(
-        iter.count(Phase::Kernel, Op::FramRead),
-        partial_src.is_some() as u64 + per_elem_bias.is_some() as u64,
-        "finish bundle does not match the pass's read set"
-    );
     dev.set_context(l.region, Phase::Kernel);
-    while j < total {
-        let want = total - j;
-        let funded = dev.consume_bundle(iter, want as u64)? as u32;
-        for t in j..j + funded {
-            let partial = match partial_src {
-                Some(p) => Accum::from_q15(dev.prepaid_read(p, t)),
-                None => Accum::ZERO,
-            };
-            let b = match per_elem_bias {
-                Some(bb) => dev.prepaid_read(bb, t),
-                None => bias_const,
-            };
-            dev.prepaid_write(dst, dst_base + t, finish_acc(partial, shift, b));
-        }
-        j += funded;
-        if funded > 0 {
-            dev.prepaid_store_word(ctl, pack(j));
-            dev.mark_progress_n(funded as u64);
-        }
-        if j < total {
-            // Scalar replay of the unfunded iteration: the brown-out
-            // lands on exactly the same op as the all-scalar path.
-            let partial = match partial_src {
-                Some(p) => Accum::from_q15(dev.read(p, j)?),
-                None => Accum::ZERO,
-            };
-            let b = match per_elem_bias {
-                Some(bb) => dev.read(bb, j)?,
-                None => bias_const,
-            };
-            charge_finish(dev)?;
-            dev.write(dst, dst_base + j, finish_acc(partial, shift, b))?;
-            j += 1;
-            store_ctl(dev, ctl, pack(j), l.region)?;
-            dev.set_context(l.region, Phase::Kernel);
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            dev.mark_progress();
-        }
-    }
-    Ok(())
+    run_loop(dev, iter, &mut body, from, total)
 }
 
 /// The convolution layer task (Listing 1's `Task_Convolve` +
 /// `Task_Next_Filter` + the per-filter finishing pass, fused into one
 /// self-transitioning task).
-#[allow(clippy::too_many_lines)]
 fn conv_task(
     dev: &mut Device,
     m: &DeployedModel,
@@ -424,7 +466,7 @@ fn conv_task(
         weights,
         sparse,
         bias,
-        shift,
+        ..
     } = &l.kind
     else {
         unreachable!("conv_task on non-conv")
@@ -434,7 +476,6 @@ fn conv_task(
     let [_, oh, ow] = l.out_shape;
     let plane = oh * ow;
     let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
 
     let f = load_ctl(dev, l.filt, l.region)? as u32;
     dev.consume(Op::Branch)?;
@@ -454,34 +495,15 @@ fn conv_task(
         // partial plane into the output buffer. Read and write sets are
         // disjoint, so resuming (or re-running) is idempotent.
         let b = dev.read(*bias, f)?;
-        let src_plane = if ntaps == 0 {
-            None
-        } else {
-            Some(if (ntaps - 1) % 2 == 0 {
-                m.plane_a
-            } else {
-                m.plane_b
-            })
-        };
+        let partial = final_plane(m, ntaps);
         let j = load_ctl(dev, l.idx, l.region)? as u32;
-        let iter = if src_plane.is_some() {
-            &bundles.finish
-        } else {
-            &bundles.finish_zero
-        };
+        let body = Finish::new(m, l, partial, Bias::Const(b), f * plane);
         finish_pass(
             dev,
             l,
-            iter,
-            l.idx,
-            src_plane,
-            None,
-            b,
-            dst,
-            f * plane,
+            &bundles.finish[partial.is_none() as usize],
+            body,
             plane,
-            *shift,
-            |j| j as u16,
             j,
         )?;
         // Advance: idx, pos reset before filt increments; a crash between
@@ -497,73 +519,16 @@ fn conv_task(
     // inter alternating between the scratch planes.
     dev.set_context(l.region, Phase::Control);
     let tap = read_conv_tap(dev, *weights, sparse, *dims, f, pos)?;
-    let (dest, inter) = if pos.is_multiple_of(2) {
-        (m.plane_a, m.plane_b)
-    } else {
-        (m.plane_b, m.plane_a)
+    let i = load_ctl(dev, l.idx, l.region)? as u32;
+    let mut body = MacPass {
+        row: (tap.c * h + i / ow + tap.ky) * w_in + tap.kx,
+        col: i % ow,
+        width: ow,
+        stride: w_in,
+        ..MacPass::new(m, l, pos, src, tap.w)
     };
-    let iter = if pos == 0 {
-        &bundles.tap_first
-    } else {
-        &bundles.tap_rest
-    };
-
-    let mut i = load_ctl(dev, l.idx, l.region)? as u32;
     dev.set_context(l.region, Phase::Kernel);
-    while i < plane {
-        let want = plane - i;
-        let funded = dev.consume_bundle(iter, want as u64)? as u32;
-        // The input window index advances incrementally (no per-element
-        // div/mod): for output (oy, ox) it is row_base + ox with
-        // row_base = (c·h + oy + ky)·w_in + kx.
-        let mut ox = i % ow;
-        let mut row_base = (tap.c * h + i / ow + tap.ky) * w_in + tap.kx;
-        for t in i..i + funded {
-            let x = dev.prepaid_read(src, row_base + ox);
-            let prod = x * tap.w;
-            let v = if pos == 0 {
-                prod
-            } else {
-                dev.prepaid_read(inter, t) + prod
-            };
-            dev.prepaid_write(dest, t, v);
-            ox += 1;
-            if ox == ow {
-                ox = 0;
-                row_base += w_in;
-            }
-        }
-        i += funded;
-        if funded > 0 {
-            // Only the last loop-continuation index write is observable
-            // after `funded` uninterrupted iterations.
-            dev.prepaid_store_word(l.idx, i as u16);
-            dev.mark_progress_n(funded as u64);
-        }
-        if i < plane {
-            // Scalar replay of the unfunded iteration.
-            let oy = i / ow;
-            let ox = i % ow;
-            dev.consume(Op::Alu)?;
-            let x = dev.read(src, (tap.c * h + oy + tap.ky) * w_in + ox + tap.kx)?;
-            dev.consume(Op::FxpMul)?;
-            let prod = x * tap.w;
-            let v = if pos == 0 {
-                prod
-            } else {
-                dev.consume(Op::FxpAdd)?;
-                dev.read(inter, i)? + prod
-            };
-            dev.write(dest, i, v)?;
-            i += 1;
-            // Loop continuation: the index write that checkpoints progress.
-            store_ctl(dev, l.idx, i as u16, l.region)?;
-            dev.set_context(l.region, Phase::Kernel);
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            dev.mark_progress();
-        }
-    }
+    run_loop(dev, &bundles.tap[usize::from(pos > 0)], &mut body, i, plane)?;
     // Next filter element; crash between these stores re-runs this tap,
     // which is idempotent.
     store_ctl(dev, l.idx, 0, l.region)?;
@@ -581,104 +546,34 @@ fn dense_task(
     self_id: usize,
     next: Transition,
 ) -> Result<Transition, PowerFailure> {
-    let DeployedKind::Dense {
-        dims,
-        weights,
-        bias,
-        shift,
-        ..
-    } = &l.kind
-    else {
+    let DeployedKind::Dense { dims, weights, .. } = &l.kind else {
         unreachable!("dense_task on non-dense")
     };
     let [out_n, in_n] = *dims;
     let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
 
     let j = load_ctl(dev, l.pos, l.region)? as u32;
     dev.consume(Op::Branch)?;
     if j >= in_n {
         // Finishing pass: shift + per-output bias into the output buffer.
-        let from = if (in_n - 1) % 2 == 0 {
-            m.plane_a
-        } else {
-            m.plane_b
-        };
         let o = load_ctl(dev, l.idx, l.region)? as u32;
-        finish_pass(
-            dev,
-            l,
-            &bundles.finish,
-            l.idx,
-            Some(from),
-            Some(*bias),
-            Q15::ZERO,
-            dst,
-            0,
-            out_n,
-            *shift,
-            |o| o as u16,
-            o,
-        )?;
+        finish_pass(dev, l, &bundles.finish, dense_finish(m, l, in_n), out_n, o)?;
         store_ctl(dev, l.idx, 0, l.region)?;
         store_ctl(dev, l.pos, 0, l.region)?;
         return Ok(next);
     }
 
-    // Apply input element j to every output partial.
+    // Apply input element j to every output partial: weight column j.
     dev.set_context(l.region, Phase::Control);
     let x = dev.read(src, j)?;
-    let (dest, inter) = if j.is_multiple_of(2) {
-        (m.plane_a, m.plane_b)
-    } else {
-        (m.plane_b, m.plane_a)
+    let o = load_ctl(dev, l.idx, l.region)? as u32;
+    let mut body = MacPass {
+        row: o * in_n + j,
+        stride: in_n,
+        ..MacPass::new(m, l, j, *weights, x)
     };
-    let iter = if j == 0 {
-        &bundles.first
-    } else {
-        &bundles.rest
-    };
-
-    let mut o = load_ctl(dev, l.idx, l.region)? as u32;
     dev.set_context(l.region, Phase::Kernel);
-    while o < out_n {
-        let want = out_n - o;
-        let funded = dev.consume_bundle(iter, want as u64)? as u32;
-        for t in o..o + funded {
-            let wq = dev.prepaid_read(*weights, t * in_n + j);
-            let prod = x * wq;
-            let v = if j == 0 {
-                prod
-            } else {
-                dev.prepaid_read(inter, t) + prod
-            };
-            dev.prepaid_write(dest, t, v);
-        }
-        o += funded;
-        if funded > 0 {
-            dev.prepaid_store_word(l.idx, o as u16);
-            dev.mark_progress_n(funded as u64);
-        }
-        if o < out_n {
-            dev.consume(Op::Alu)?;
-            let wq = dev.read(*weights, o * in_n + j)?;
-            dev.consume(Op::FxpMul)?;
-            let prod = x * wq;
-            let v = if j == 0 {
-                prod
-            } else {
-                dev.consume(Op::FxpAdd)?;
-                dev.read(inter, o)? + prod
-            };
-            dev.write(dest, o, v)?;
-            o += 1;
-            store_ctl(dev, l.idx, o as u16, l.region)?;
-            dev.set_context(l.region, Phase::Kernel);
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            dev.mark_progress();
-        }
-    }
+    run_loop(dev, &bundles.pass[usize::from(j > 0)], &mut body, o, out_n)?;
     store_ctl(dev, l.idx, 0, l.region)?;
     store_ctl(dev, l.pos, (j + 1) as u16, l.region)?;
     Ok(Transition::To(self_id))
@@ -703,6 +598,21 @@ struct SparseState {
 }
 
 impl SparseState {
+    fn of(l: &DeployedLayer) -> Self {
+        let DeployedKind::Dense {
+            dims,
+            sparse: Some((_, entries)),
+            ..
+        } = l.kind
+        else {
+            unreachable!("sparse state on a non-sparse layer")
+        };
+        SparseState {
+            out_n: dims[0],
+            nnz: entries.len() / 2,
+        }
+    }
+
     fn unpack(self, state: u16) -> (u16, u32) {
         let s = state as u32;
         if s < self.out_n {
@@ -725,9 +635,109 @@ impl SparseState {
     }
 }
 
+/// One zeroing iteration of the accumulation plane (idempotent writes of
+/// zero). The continuation index is clamped so the zero pass cannot roll
+/// into ACCUM before the column cache (`pos`) is reset; re-zeroing the
+/// last element on resume is idempotent.
+#[derive(Clone)]
+struct ZeroPass {
+    plane: FramBuf,
+    ctl: mcu::FramWord,
+    st: SparseState,
+}
+
+impl ZeroPass {
+    fn new(m: &DeployedModel, l: &DeployedLayer) -> Self {
+        ZeroPass {
+            plane: m.plane_a,
+            ctl: l.idx,
+            st: SparseState::of(l),
+        }
+    }
+}
+
+impl LoopBody for ZeroPass {
+    #[inline(always)]
+    fn step<M: Meter>(&mut self, m: &mut M, t: u32) -> Result<(), PowerFailure> {
+        m.write(self.plane, t, Q15::ZERO)?;
+        let next = (t + 1).min(self.st.out_n - 1);
+        m.store_ctl(self.ctl, self.st.pack(STAGE_ZERO, next))?;
+        m.op(Op::Incr)?;
+        m.op(Op::Branch)?;
+        m.progress();
+        Ok(())
+    }
+}
+
+/// One in-column scatter iteration: loop branch, the (failing) column
+/// check read, then [`Scatter::update`].
+#[derive(Clone)]
+struct Scatter {
+    col_ptr: FramBuf,
+    entries: FramBuf,
+    plane: FramBuf,
+    undo_val: mcu::FramWord,
+    undo_tag: mcu::FramWord,
+    /// The current input column and its activation.
+    j: u32,
+    x: Q15,
+    cont: Continued,
+}
+
+impl Scatter {
+    fn new(m: &DeployedModel, l: &DeployedLayer, st: SparseState, j: u32, x: Q15) -> Self {
+        let DeployedKind::Dense {
+            sparse: Some((col_ptr, entries)),
+            ..
+        } = l.kind
+        else {
+            unreachable!("scatter on a non-sparse layer")
+        };
+        Scatter {
+            col_ptr,
+            entries,
+            plane: m.plane_a,
+            undo_val: l.undo_val,
+            undo_tag: l.undo_tag,
+            j,
+            x,
+            cont: Continued {
+                ctl: l.idx,
+                base: st.pack(STAGE_ACCUM, 0) as u32,
+            },
+        }
+    }
+
+    /// Entry (row, weight) reads, partial read, the two-phase undo log
+    /// (save value, then tag — word-atomic), the MAC, the in-place
+    /// write, loop continuation. The undo writes are data buffering, not
+    /// loop control: they stay in the kernel phase (the paper's Fig. 10
+    /// counts Alpaca's analogous dynamic buffering as kernel time).
+    #[inline(always)]
+    fn update<M: Meter>(&mut self, m: &mut M, k: u32) -> Result<(), PowerFailure> {
+        let o = m.read(self.entries, 2 * k)?.raw() as u16 as u32;
+        let wq = m.read(self.entries, 2 * k + 1)?;
+        let val = m.read(self.plane, o)?;
+        m.store_word(self.undo_val, val.raw() as u16)?;
+        m.store_word(self.undo_tag, k as u16)?;
+        m.op(Op::FxpMul)?;
+        m.op(Op::FxpAdd)?;
+        m.write(self.plane, o, val + self.x * wq)?;
+        self.cont.end(m, k + 1)
+    }
+}
+
+impl LoopBody for Scatter {
+    #[inline(always)]
+    fn step<M: Meter>(&mut self, m: &mut M, k: u32) -> Result<(), PowerFailure> {
+        m.op(Op::Branch)?;
+        m.read(self.col_ptr, self.j + 1)?; // k is still in column j
+        self.update(m, k)
+    }
+}
+
 /// Sparse fully-connected layers: in-place scatter accumulation protected
 /// by sparse undo-logging (§6.2.2).
-#[allow(clippy::too_many_lines)]
 pub(crate) fn sparse_dense_task(
     dev: &mut Device,
     m: &DeployedModel,
@@ -738,25 +748,21 @@ pub(crate) fn sparse_dense_task(
 ) -> Result<Transition, PowerFailure> {
     let DeployedKind::Dense {
         dims,
-        sparse,
+        sparse: Some((col_ptr, entries)),
         bias,
-        shift,
         ..
-    } = &l.kind
+    } = l.kind
     else {
-        unreachable!("sparse_dense_task on non-dense")
+        unreachable!("sparse_dense_task on a non-sparse layer")
     };
-    let (col_ptr, entries) = sparse.as_ref().expect("sparse layer");
-    let [out_n, in_n] = *dims;
-    let nnz = entries.len() / 2;
-    let st = SparseState { out_n, nnz };
+    let [out_n, in_n] = dims;
+    let st = SparseState::of(l);
+    let nnz = st.nnz;
     assert!(
         nnz + 2 * out_n + 2 <= u16::MAX as u32,
         "sparse layer exceeds the one-word state range"
     );
     let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
-    let acc_plane = m.plane_a;
 
     let state = load_ctl(dev, l.idx, l.region)?;
     let (stage, idx) = st.unpack(state);
@@ -764,33 +770,8 @@ pub(crate) fn sparse_dense_task(
 
     match stage {
         STAGE_ZERO => {
-            // Zero the accumulation plane (idempotent writes of zero).
-            let mut i = idx;
             dev.set_context(l.region, Phase::Kernel);
-            while i < out_n {
-                let want = out_n - i;
-                let funded = dev.consume_bundle(&bundles.zero, want as u64)? as u32;
-                for t in i..i + funded {
-                    dev.prepaid_write(acc_plane, t, Q15::ZERO);
-                }
-                i += funded;
-                if funded > 0 {
-                    // Clamp so the zero pass cannot roll into ACCUM before
-                    // the column cache (`pos`) is reset below; re-zeroing
-                    // the last element on resume is idempotent.
-                    dev.prepaid_store_word(l.idx, st.pack(STAGE_ZERO, i.min(out_n - 1)));
-                    dev.mark_progress_n(funded as u64);
-                }
-                if i < out_n {
-                    dev.write(acc_plane, i, Q15::ZERO)?;
-                    i += 1;
-                    store_ctl(dev, l.idx, st.pack(STAGE_ZERO, i.min(out_n - 1)), l.region)?;
-                    dev.set_context(l.region, Phase::Kernel);
-                    dev.consume(Op::Incr)?;
-                    dev.consume(Op::Branch)?;
-                    dev.mark_progress();
-                }
-            }
+            run_loop(dev, &bundles.zero, &mut ZeroPass::new(m, l), idx, out_n)?;
             // Reset the column cache BEFORE the atomic stage transition:
             // ACCUM must never start with a stale (too-advanced) cache.
             store_ctl(dev, l.pos, 0, l.region)?;
@@ -805,97 +786,44 @@ pub(crate) fn sparse_dense_task(
             dev.consume(Op::Branch)?;
             if tag as u32 == k && k < nnz {
                 let saved = load_ctl(dev, l.undo_val, l.region)?;
-                let o = dev.read(*entries, 2 * k)?.raw() as u16 as u32;
-                dev.write(acc_plane, o, Q15::from_raw(saved as i16))?;
+                let o = dev.read(entries, 2 * k)?.raw() as u16 as u32;
+                dev.write(m.plane_a, o, Q15::from_raw(saved as i16))?;
             }
             // Recover the cached column; `pos` may lag (it is only a
             // cache), so advance it until it covers k.
             let mut j = load_ctl(dev, l.pos, l.region)? as u32;
             dev.set_context(l.region, Phase::Control);
-            while j < in_n && (dev.read(*col_ptr, j + 1)?.raw() as u16 as u32) <= k {
+            while j < in_n && (dev.read(col_ptr, j + 1)?.raw() as u16 as u32) <= k {
                 dev.consume(Op::Incr)?;
                 j += 1;
             }
-            let mut x = if j < in_n {
+            let x = if j < in_n {
                 dev.read(src, j)?
             } else {
                 Q15::ZERO
             };
+            let mut body = Scatter::new(m, l, st, j, x);
             dev.set_context(l.region, Phase::Kernel);
             while k < nnz {
                 // Iterations stay in column j until k reaches col_ptr[j+1]
-                // (the scalar column-advance loop body never runs for
-                // them); bundle that run, then advance scalar-wise.
-                let col_end = (dev.prepaid_read(*col_ptr, j + 1).raw() as u16 as u32).min(nnz);
+                // (the column-advance loop body never runs for them).
+                let col_end = (dev.prepaid_read(col_ptr, body.j + 1).raw() as u16 as u32).min(nnz);
                 if col_end > k {
-                    let want = col_end - k;
-                    let funded = dev.consume_bundle(&bundles.accum, want as u64)? as u32;
-                    for t in k..k + funded {
-                        let o = dev.prepaid_read(*entries, 2 * t).raw() as u16 as u32;
-                        let wq = dev.prepaid_read(*entries, 2 * t + 1);
-                        let val = dev.prepaid_read(acc_plane, o);
-                        // Only the final iteration's undo slot survives an
-                        // uninterrupted run.
-                        dev.prepaid_store_word(l.undo_val, val.raw() as u16);
-                        dev.prepaid_store_word(l.undo_tag, t as u16);
-                        dev.prepaid_write(acc_plane, o, val + x * wq);
-                    }
-                    k += funded;
-                    if funded > 0 {
-                        dev.prepaid_store_word(l.idx, st.pack(STAGE_ACCUM, k));
-                        dev.mark_progress_n(funded as u64);
-                    }
-                    if k < col_end {
-                        // Scalar replay of the unfunded iteration.
-                        dev.consume(Op::Branch)?;
-                        // The column check fails (k is still in-column);
-                        // charge it like the scalar loop head does.
-                        let _ = dev.read(*col_ptr, j + 1)?;
-                        let o = dev.read(*entries, 2 * k)?.raw() as u16 as u32;
-                        let wq = dev.read(*entries, 2 * k + 1)?;
-                        let val = dev.read(acc_plane, o)?;
-                        // Two-phase undo log: save value, then tag
-                        // (word-atomic). This is data buffering, not loop
-                        // control — it stays in the kernel phase (the
-                        // paper's Fig. 10 counts Alpaca's analogous dynamic
-                        // buffering as kernel time).
-                        dev.store_word(l.undo_val, val.raw() as u16)?;
-                        dev.store_word(l.undo_tag, k as u16)?;
-                        dev.consume(Op::FxpMul)?;
-                        dev.consume(Op::FxpAdd)?;
-                        dev.write(acc_plane, o, val + x * wq)?;
-                        k += 1;
-                        store_ctl(dev, l.idx, st.pack(STAGE_ACCUM, k), l.region)?;
-                        dev.set_context(l.region, Phase::Kernel);
-                        dev.consume(Op::Incr)?;
-                        dev.consume(Op::Branch)?;
-                        dev.mark_progress();
-                    }
+                    run_loop(dev, &bundles.accum, &mut body, k, col_end)?;
+                    k = col_end;
                 } else {
-                    // Column advance (amortized: once per input element),
-                    // scalar exactly as before: the loop branch plus the
-                    // check-read/advance sequence until the check fails.
+                    // Column advance (amortized: once per input element):
+                    // the loop branch plus the check-read/advance sequence
+                    // until the check fails, then the update.
                     dev.consume(Op::Branch)?;
-                    while (dev.read(*col_ptr, j + 1)?.raw() as u16 as u32) <= k {
-                        j += 1;
-                        store_ctl(dev, l.pos, j as u16, l.region)?;
-                        x = dev.read(src, j)?;
+                    while (dev.read(col_ptr, body.j + 1)?.raw() as u16 as u32) <= k {
+                        body.j += 1;
+                        store_ctl(dev, l.pos, body.j as u16, l.region)?;
+                        body.x = dev.read(src, body.j)?;
                         dev.set_context(l.region, Phase::Kernel);
                     }
-                    let o = dev.read(*entries, 2 * k)?.raw() as u16 as u32;
-                    let wq = dev.read(*entries, 2 * k + 1)?;
-                    let val = dev.read(acc_plane, o)?;
-                    dev.store_word(l.undo_val, val.raw() as u16)?;
-                    dev.store_word(l.undo_tag, k as u16)?;
-                    dev.consume(Op::FxpMul)?;
-                    dev.consume(Op::FxpAdd)?;
-                    dev.write(acc_plane, o, val + x * wq)?;
+                    body.update(dev, k)?;
                     k += 1;
-                    store_ctl(dev, l.idx, st.pack(STAGE_ACCUM, k), l.region)?;
-                    dev.set_context(l.region, Phase::Kernel);
-                    dev.consume(Op::Incr)?;
-                    dev.consume(Op::Branch)?;
-                    dev.mark_progress();
                 }
             }
             store_ctl(dev, l.idx, st.pack(STAGE_FINISH, 0), l.region)?;
@@ -905,25 +833,84 @@ pub(crate) fn sparse_dense_task(
         _ => {
             // Finish: shift + bias from the accumulation plane into the
             // output buffer (disjoint read/write sets: idempotent).
-            finish_pass(
-                dev,
-                l,
-                &bundles.finish,
-                l.idx,
-                Some(acc_plane),
-                Some(*bias),
-                Q15::ZERO,
-                dst,
-                0,
-                out_n,
-                *shift,
-                |o| st.pack(STAGE_FINISH, o),
-                idx,
-            )?;
+            let body = Finish::new(m, l, Some(m.plane_a), Bias::PerElement(bias), 0)
+                .ctl_base(st.pack(STAGE_FINISH, 0) as u32);
+            finish_pass(dev, l, &bundles.finish, body, out_n, idx)?;
             store_ctl(dev, l.idx, st.pack(STAGE_ZERO, 0), l.region)?;
             store_ctl(dev, l.pos, 0, l.region)?;
             Ok(next)
         }
+    }
+}
+
+/// One row of a loop-ordered sparse column pass: dest[o] = inter[o],
+/// plus the column entry when it hits row o. While entries remain, each
+/// row reads the next entry's row for the hit check; after the last
+/// entry, it does not. Only a hit (run op by op, outside the funded
+/// pass-through runs) reads the weight and multiplies.
+#[derive(Clone)]
+struct PassThrough {
+    entries: FramBuf,
+    dest: FramBuf,
+    inter: FramBuf,
+    first: bool,
+    x: Q15,
+    /// The entry cursor over the column's `[k, end)`.
+    k: u32,
+    end: u32,
+    hit: bool,
+    cont: Continued,
+}
+
+impl PassThrough {
+    fn new(m: &DeployedModel, l: &DeployedLayer, j: u32, x: Q15, k: u32, end: u32) -> Self {
+        let DeployedKind::Dense {
+            sparse: Some((_, entries)),
+            ..
+        } = l.kind
+        else {
+            unreachable!("pass-through on a non-sparse layer")
+        };
+        let (dest, inter) = if j.is_multiple_of(2) {
+            (m.plane_a, m.plane_b)
+        } else {
+            (m.plane_b, m.plane_a)
+        };
+        PassThrough {
+            entries,
+            dest,
+            inter,
+            first: j == 0,
+            x,
+            k,
+            end,
+            hit: false,
+            cont: Continued::at(l.idx),
+        }
+    }
+}
+
+impl LoopBody for PassThrough {
+    #[inline(always)]
+    fn step<M: Meter>(&mut self, m: &mut M, o: u32) -> Result<(), PowerFailure> {
+        let mut v = if self.first {
+            Q15::ZERO
+        } else {
+            m.read(self.inter, o)?
+        };
+        m.op(Op::Branch)?;
+        if self.k < self.end {
+            let row = m.read(self.entries, 2 * self.k)?.raw() as u16 as u32;
+            if self.hit && row == o {
+                let wq = m.read(self.entries, 2 * self.k + 1)?;
+                m.op(Op::FxpMul)?;
+                m.op(Op::FxpAdd)?;
+                v += self.x * wq;
+                self.k += 1;
+            }
+        }
+        m.write(self.dest, o, v)?;
+        self.cont.end(m, o + 1)
     }
 }
 
@@ -933,7 +920,6 @@ pub(crate) fn sparse_dense_task(
 /// scratch buffers — "most of its time and energy copying unmodified
 /// activations between buffers" — which is exactly the waste sparse
 /// undo-logging exists to eliminate. Kept as an ablation.
-#[allow(clippy::too_many_lines)]
 fn sparse_dense_loop_ordered_task(
     dev: &mut Device,
     m: &DeployedModel,
@@ -944,44 +930,21 @@ fn sparse_dense_loop_ordered_task(
 ) -> Result<Transition, PowerFailure> {
     let DeployedKind::Dense {
         dims,
-        sparse,
-        bias,
-        shift,
+        sparse: Some((col_ptr, entries)),
         ..
-    } = &l.kind
+    } = l.kind
     else {
-        unreachable!("sparse_dense_loop_ordered_task on non-dense")
+        unreachable!("sparse_dense_loop_ordered_task on a non-sparse layer")
     };
-    let (col_ptr, entries) = sparse.as_ref().expect("sparse layer");
-    let [out_n, in_n] = *dims;
+    let [out_n, in_n] = dims;
     let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
 
     let j = load_ctl(dev, l.pos, l.region)? as u32;
     dev.consume(Op::Branch)?;
     if j >= in_n {
         // Finishing pass, identical to the dense layer's.
-        let from = if (in_n - 1) % 2 == 0 {
-            m.plane_a
-        } else {
-            m.plane_b
-        };
         let o = load_ctl(dev, l.idx, l.region)? as u32;
-        finish_pass(
-            dev,
-            l,
-            &bundles.finish,
-            l.idx,
-            Some(from),
-            Some(*bias),
-            Q15::ZERO,
-            dst,
-            0,
-            out_n,
-            *shift,
-            |o| o as u16,
-            o,
-        )?;
+        finish_pass(dev, l, &bundles.finish, dense_finish(m, l, in_n), out_n, o)?;
         store_ctl(dev, l.idx, 0, l.region)?;
         store_ctl(dev, l.pos, 0, l.region)?;
         return Ok(next);
@@ -993,102 +956,40 @@ fn sparse_dense_loop_ordered_task(
     dev.set_context(l.region, Phase::Control);
     let x = dev.read(src, j)?;
     let (start, end) = (
-        dev.read(*col_ptr, j)?.raw() as u16 as u32,
-        dev.read(*col_ptr, j + 1)?.raw() as u16 as u32,
+        dev.read(col_ptr, j)?.raw() as u16 as u32,
+        dev.read(col_ptr, j + 1)?.raw() as u16 as u32,
     );
-    let (dest, inter) = if j.is_multiple_of(2) {
-        (m.plane_a, m.plane_b)
-    } else {
-        (m.plane_b, m.plane_a)
-    };
     let mut o = load_ctl(dev, l.idx, l.region)? as u32;
     // Recover the entry cursor: count entries with row < o.
     let mut k = start;
     while k < end {
         dev.consume(Op::Branch)?;
-        if (dev.read(*entries, 2 * k)?.raw() as u16 as u32) >= o {
+        if (dev.read(entries, 2 * k)?.raw() as u16 as u32) >= o {
             break;
         }
         k += 1;
     }
-    // Pass-through iterations (no entry hits this row). Two variants:
-    // while entries remain, each iteration reads the next entry's row for
-    // the hit check; after the last entry, it does not.
-    let (pass_iter, drain_iter) = if j == 0 {
-        (&bundles.pass_first, &bundles.drain_first)
-    } else {
-        (&bundles.pass_rest, &bundles.drain_rest)
-    };
+    let mut body = PassThrough::new(m, l, j, x, k, end);
+    let pass = &bundles.pass[usize::from(j > 0)];
 
     dev.set_context(l.region, Phase::Kernel);
     while o < out_n {
         // Rows up to the next entry hit (or the end) are uniform.
-        let (iter, run_end) = if k < end {
-            let row = dev.prepaid_read(*entries, 2 * k).raw() as u16 as u32;
-            (pass_iter, row.min(out_n))
+        let run_end = if body.k < body.end {
+            (dev.prepaid_read(entries, 2 * body.k).raw() as u16 as u32).min(out_n)
         } else {
-            (drain_iter, out_n)
+            out_n
         };
         if run_end > o {
-            let want = run_end - o;
-            let funded = dev.consume_bundle(iter, want as u64)? as u32;
-            for t in o..o + funded {
-                let v = if j == 0 {
-                    Q15::ZERO
-                } else {
-                    dev.prepaid_read(inter, t)
-                };
-                dev.prepaid_write(dest, t, v);
-            }
-            o += funded;
-            if funded > 0 {
-                dev.prepaid_store_word(l.idx, o as u16);
-                dev.mark_progress_n(funded as u64);
-            }
-            if o < run_end {
-                // Scalar replay of the unfunded pass-through row.
-                let v = if j == 0 {
-                    Q15::ZERO
-                } else {
-                    dev.read(inter, o)?
-                };
-                dev.consume(Op::Branch)?;
-                if k < end {
-                    let _ = dev.read(*entries, 2 * k)?; // row check (miss)
-                }
-                dev.write(dest, o, v)?;
-                o += 1;
-                store_ctl(dev, l.idx, o as u16, l.region)?;
-                dev.set_context(l.region, Phase::Kernel);
-                dev.consume(Op::Incr)?;
-                dev.consume(Op::Branch)?;
-                dev.mark_progress();
-            }
+            let iter = &pass[usize::from(body.k < body.end)];
+            run_loop(dev, iter, &mut body, o, run_end)?;
+            o = run_end;
         } else {
-            // Entry hit: the full scalar iteration including the MAC.
-            let mut v = if j == 0 {
-                Q15::ZERO
-            } else {
-                dev.read(inter, o)?
-            };
-            dev.consume(Op::Branch)?;
-            if k < end {
-                let row = dev.read(*entries, 2 * k)?.raw() as u16 as u32;
-                if row == o {
-                    let wq = dev.read(*entries, 2 * k + 1)?;
-                    dev.consume(Op::FxpMul)?;
-                    dev.consume(Op::FxpAdd)?;
-                    v += x * wq;
-                    k += 1;
-                }
-            }
-            dev.write(dest, o, v)?;
+            // Entry hit: the full iteration including the MAC.
+            body.hit = true;
+            body.step(dev, o)?;
+            body.hit = false;
             o += 1;
-            store_ctl(dev, l.idx, o as u16, l.region)?;
-            dev.set_context(l.region, Phase::Kernel);
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            dev.mark_progress();
         }
     }
     store_ctl(dev, l.idx, 0, l.region)?;
@@ -1106,76 +1007,10 @@ pub(crate) fn pool_task(
 ) -> Result<Transition, PowerFailure> {
     let from = load_ctl(dev, l.idx, l.region)? as u32;
     dev.set_context(l.region, Phase::Kernel);
-    pool_loop_continuation(dev, m, l, iter, from)?;
+    let mut body = PoolBody::new(m, l, Continued::at(l.idx));
+    run_loop(dev, iter, &mut body, from, l.out_shape.iter().product())?;
     store_ctl(dev, l.idx, 0, l.region)?;
     Ok(next)
-}
-
-fn pool_loop_continuation(
-    dev: &mut Device,
-    m: &DeployedModel,
-    l: &DeployedLayer,
-    iter: &OpBundle,
-    from: u32,
-) -> Result<(), PowerFailure> {
-    let DeployedKind::Pool { kh, kw } = l.kind else {
-        unreachable!("pool task on non-pool")
-    };
-    let [c, h, w] = l.in_shape;
-    let [_, oh, ow] = l.out_shape;
-    let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
-    let total = c * oh * ow;
-    debug_assert_eq!(iter.count(Phase::Kernel, Op::FramRead), (kh * kw) as u64);
-    let mut o = from;
-    while o < total {
-        let want = total - o;
-        let funded = dev.consume_bundle(iter, want as u64)? as u32;
-        for t in o..o + funded {
-            let ch = t / (oh * ow);
-            let oy = (t / ow) % oh;
-            let ox = t % ow;
-            let mut best = Q15::MIN;
-            for py in 0..kh {
-                for px in 0..kw {
-                    let v = dev.prepaid_read(src, (ch * h + oy * kh + py) * w + ox * kw + px);
-                    if v > best {
-                        best = v;
-                    }
-                }
-            }
-            dev.prepaid_write(dst, t, best);
-        }
-        o += funded;
-        if funded > 0 {
-            dev.prepaid_store_word(l.idx, o as u16);
-            dev.mark_progress_n(funded as u64);
-        }
-        if o < total {
-            let ch = o / (oh * ow);
-            let oy = (o / ow) % oh;
-            let ox = o % ow;
-            let mut best = Q15::MIN;
-            for py in 0..kh {
-                for px in 0..kw {
-                    dev.consume(Op::Alu)?;
-                    let v = dev.read(src, (ch * h + oy * kh + py) * w + ox * kw + px)?;
-                    dev.consume(Op::Branch)?;
-                    if v > best {
-                        best = v;
-                    }
-                }
-            }
-            dev.write(dst, o, best)?;
-            o += 1;
-            store_ctl(dev, l.idx, o as u16, l.region)?;
-            dev.set_context(l.region, Phase::Kernel);
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            dev.mark_progress();
-        }
-    }
-    Ok(())
 }
 
 /// ReLU with loop continuation; in-place is safe because ReLU is
@@ -1187,35 +1022,10 @@ pub(crate) fn relu_task(
     iter: &OpBundle,
     next: Transition,
 ) -> Result<Transition, PowerFailure> {
-    let [c, h, w] = l.in_shape;
-    let buf = m.buf(l.src);
-    let total = c * h * w;
-    let mut i = load_ctl(dev, l.idx, l.region)? as u32;
+    let from = load_ctl(dev, l.idx, l.region)? as u32;
     dev.set_context(l.region, Phase::Kernel);
-    while i < total {
-        let want = total - i;
-        let funded = dev.consume_bundle(iter, want as u64)? as u32;
-        for t in i..i + funded {
-            let v = dev.prepaid_read(buf, t);
-            dev.prepaid_write(buf, t, v.relu());
-        }
-        i += funded;
-        if funded > 0 {
-            dev.prepaid_store_word(l.idx, i as u16);
-            dev.mark_progress_n(funded as u64);
-        }
-        if i < total {
-            let v = dev.read(buf, i)?;
-            dev.consume(Op::Branch)?;
-            dev.write(buf, i, v.relu())?;
-            i += 1;
-            store_ctl(dev, l.idx, i as u16, l.region)?;
-            dev.set_context(l.region, Phase::Kernel);
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            dev.mark_progress();
-        }
-    }
+    let mut body = ReluBody::new(m, l, Continued::at(l.idx));
+    run_loop(dev, iter, &mut body, from, l.in_shape.iter().product())?;
     store_ctl(dev, l.idx, 0, l.region)?;
     Ok(next)
 }
@@ -1259,7 +1069,7 @@ pub fn build_opts(m: &DeployedModel, opts: SonicOptions) -> TaskGraph<()> {
         match &l.kind {
             DeployedKind::Conv { .. } => {
                 let m = m.clone();
-                let bundles = ConvBundles::new();
+                let bundles = ConvBundles::new(&m, l);
                 g.add(&name, move |dev, _| {
                     conv_task(dev, &m, &m.layers[li], &bundles, self_id, next)
                 });
@@ -1267,12 +1077,12 @@ pub fn build_opts(m: &DeployedModel, opts: SonicOptions) -> TaskGraph<()> {
             DeployedKind::Dense { sparse, .. } if sparse.is_some() => {
                 let m = m.clone();
                 if opts.sparse_undo_logging {
-                    let bundles = SparseBundles::new();
+                    let bundles = SparseBundles::new(&m, l);
                     g.add(&name, move |dev, _| {
                         sparse_dense_task(dev, &m, &m.layers[li], &bundles, self_id, next)
                     });
                 } else {
-                    let bundles = LoopOrderedBundles::new();
+                    let bundles = LoopOrderedBundles::new(&m, l);
                     g.add(&name, move |dev, _| {
                         sparse_dense_loop_ordered_task(
                             dev,
@@ -1287,21 +1097,21 @@ pub fn build_opts(m: &DeployedModel, opts: SonicOptions) -> TaskGraph<()> {
             }
             DeployedKind::Dense { .. } => {
                 let m = m.clone();
-                let bundles = DenseBundles::new();
+                let bundles = DenseBundles::new(&m, l);
                 g.add(&name, move |dev, _| {
                     dense_task(dev, &m, &m.layers[li], &bundles, self_id, next)
                 });
             }
-            DeployedKind::Pool { kh, kw } => {
+            DeployedKind::Pool { .. } => {
+                let iter = layer_bundle(m, l, Continued::at(l.idx));
                 let m = m.clone();
-                let iter = pool_iter_bundle(*kh, *kw);
                 g.add(&name, move |dev, _| {
                     pool_task(dev, &m, &m.layers[li], &iter, next)
                 });
             }
             DeployedKind::Relu => {
+                let iter = layer_bundle(m, l, Continued::at(l.idx));
                 let m = m.clone();
-                let iter = relu_iter_bundle();
                 g.add(&name, move |dev, _| {
                     relu_task(dev, &m, &m.layers[li], &iter, next)
                 });

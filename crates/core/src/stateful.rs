@@ -63,12 +63,15 @@
 //! through the mask), so its fault-free reference — like every backend's —
 //! is its own continuous-power run.
 
-use crate::baseline::{charge_finish, unpack_tap};
+use crate::baseline::{charge_finish, layer_bundle, Act, Mac, PoolBody, ReluBody};
 use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel, IoBuf};
 use dnn::quant::finish_acc;
-use fxp::{Accum, Q15};
+use fxp::Q15;
 use intermittent::task::{TaskGraph, Transition};
-use mcu::{AllocError, Device, FramBuf, Op, OpBundle, Phase, PowerFailure, RegionId};
+use mcu::{
+    run_loop, AllocError, Device, FramBuf, LoopBody, Meter, Op, OpBundle, Phase, PowerFailure,
+    RegionId,
+};
 
 /// Bits of an embedded word holding the (truncated) activation value.
 pub const VALUE_MASK: u16 = 0xFFE0;
@@ -226,155 +229,110 @@ pub fn cleared_output(dev: &Device, m: &DeployedModel) -> Vec<Q15> {
     m.read_output(dev).into_iter().map(value_of).collect()
 }
 
-/// A detected activation fault is unrecoverable data loss: exhaust the
-/// bounded retry budget so the scheduler surfaces `RunError::Corrupted`
-/// instead of rebooting into the same corrupted state forever.
-fn data_corrupt(dev: &mut Device, region: RegionId) -> PowerFailure {
-    while dev.note_corruption(region) {}
-    PowerFailure
-}
-
-/// Reads an activation through the tag/parity verify on the *prepaid*
-/// (funded-bundle) path. `tags` lists the accepted pass tags.
-#[inline]
-fn verified_prepaid(
-    dev: &mut Device,
-    buf: FramBuf,
-    i: u32,
-    tags: &[u16],
+/// Stateful's activations: every read is verified against the accepted
+/// pass tags (a failed verify is unrecoverable data loss: the retry
+/// budget is spent so the scheduler surfaces `RunError::Corrupted`
+/// instead of rebooting into the same corrupted state forever), every
+/// write embeds the pass tag, and every element marks progress.
+#[derive(Clone, Copy)]
+struct Tagged {
+    /// Accepted input tags (in-place passes accept their own tag too).
+    tags: [u16; 2],
+    out: u16,
     region: RegionId,
-) -> Result<Q15, PowerFailure> {
-    let w = dev.prepaid_read(buf, i);
-    if is_valid(w) && tags.contains(&tag_of(w)) {
-        Ok(value_of(w))
-    } else {
-        Err(data_corrupt(dev, region))
+}
+
+impl Tagged {
+    /// Pass `pass` of a layer in `region`. In-place (ReLU) passes accept
+    /// their own tag on re-reads too: elements before the resume point
+    /// already carry it, and relu is idempotent on its output.
+    fn of(pass: &Pass, region: RegionId, in_place: bool) -> Self {
+        Tagged {
+            tags: [pass.in_tag, if in_place { pass.tag } else { pass.in_tag }],
+            out: pass.tag,
+            region,
+        }
     }
 }
 
-/// Reads an activation through the tag/parity verify on the scalar-replay
-/// path (read, then the verify ALU op).
-#[inline]
-fn verified_read(
-    dev: &mut Device,
+impl Act for Tagged {
+    #[inline(always)]
+    fn read<M: Meter>(self, m: &mut M, buf: FramBuf, i: u32) -> Result<Q15, PowerFailure> {
+        let w = m.read(buf, i)?;
+        m.op(Op::Alu)?; // tag/parity verify
+        if !(is_valid(w) && self.tags.contains(&tag_of(w))) {
+            m.abort_corrupted(self.region)?;
+        }
+        Ok(value_of(w))
+    }
+    #[inline(always)]
+    fn write<M: Meter>(self, m: &mut M, buf: FramBuf, i: u32, v: Q15) -> Result<(), PowerFailure> {
+        m.op(Op::Alu)?; // embed pack
+        m.write(buf, i, embed(v, self.out))
+    }
+    #[inline(always)]
+    fn end<M: Meter>(self, m: &mut M, _: u32) -> Result<(), PowerFailure> {
+        m.op(Op::Incr)?;
+        m.op(Op::Branch)?;
+        m.progress();
+        Ok(())
+    }
+}
+
+/// One seek/audit probe: address ALU, read, tag check, branch. A scan
+/// stops at the first word not carrying `tag`.
+#[derive(Clone)]
+struct Probe {
     buf: FramBuf,
-    i: u32,
-    tags: &[u16],
-    region: RegionId,
-) -> Result<Q15, PowerFailure> {
-    let w = dev.read(buf, i)?;
-    dev.consume(Op::Alu)?; // tag/parity verify
-    if is_valid(w) && tags.contains(&tag_of(w)) {
-        Ok(value_of(w))
-    } else {
-        Err(data_corrupt(dev, region))
+    tag: u16,
+    bad: Option<u32>,
+}
+
+impl Probe {
+    fn new(buf: FramBuf, tag: u16) -> Self {
+        Probe {
+            buf,
+            tag,
+            bad: None,
+        }
     }
 }
 
-/// One dense MAC iteration with the activation verify:
-/// weight read, address ALU, input read, verify ALU, mul, add, incr, branch.
-fn mac_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel);
-    b.push(Op::Alu, Phase::Kernel);
-    b.push(Op::FramRead, Phase::Kernel);
-    b.push(Op::Alu, Phase::Kernel); // tag/parity verify
-    b.push(Op::FxpMul, Phase::Kernel);
-    b.push(Op::FxpAdd, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
-}
-
-/// One sparse-conv tap with the verify: offset read + unpack precede.
-fn sparse_mac_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel); // packed offset
-    b.push(Op::Alu, Phase::Kernel); // unpack
-    b.push(Op::FramRead, Phase::Kernel); // weight
-    b.push(Op::Alu, Phase::Kernel); // address
-    b.push(Op::FramRead, Phase::Kernel); // input
-    b.push(Op::Alu, Phase::Kernel); // tag/parity verify
-    b.push(Op::FxpMul, Phase::Kernel);
-    b.push(Op::FxpAdd, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
-}
-
-/// One sparse-FC tap with the verify: column, weight, address, input,
-/// verify, mul, add, incr, branch.
-fn fc_sparse_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel); // column
-    b.push(Op::FramRead, Phase::Kernel); // weight
-    b.push(Op::Alu, Phase::Kernel);
-    b.push(Op::FramRead, Phase::Kernel); // input
-    b.push(Op::Alu, Phase::Kernel); // tag/parity verify
-    b.push(Op::FxpMul, Phase::Kernel);
-    b.push(Op::FxpAdd, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
-}
-
-/// One max-pool output: window scan (each read verified) + embed + write.
-fn pool_bundle(kh: u32, kw: u32) -> OpBundle {
-    let mut b = OpBundle::new();
-    for _ in 0..kh * kw {
-        b.push(Op::Alu, Phase::Kernel);
-        b.push(Op::FramRead, Phase::Kernel);
-        b.push(Op::Alu, Phase::Kernel); // tag/parity verify
-        b.push(Op::Branch, Phase::Kernel);
+impl LoopBody for Probe {
+    fn step<M: Meter>(&mut self, m: &mut M, t: u32) -> Result<(), PowerFailure> {
+        m.op(Op::Alu)?;
+        let w = m.read(self.buf, t)?;
+        m.op(Op::Alu)?;
+        m.op(Op::Branch)?;
+        if !valid_with(w, self.tag) {
+            self.bad = Some(t);
+        }
+        Ok(())
     }
-    b.push(Op::Alu, Phase::Kernel); // embed pack
-    b.push(Op::FramWrite, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
+
+    fn done(&self) -> bool {
+        self.bad.is_some()
+    }
 }
 
-/// One in-place ReLU element: read, verify, clamp-branch, embed, write.
-fn relu_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel);
-    b.push(Op::Alu, Phase::Kernel); // tag/parity verify
-    b.push(Op::Branch, Phase::Kernel);
-    b.push(Op::Alu, Phase::Kernel); // embed pack
-    b.push(Op::FramWrite, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
-}
-
-/// One seek/audit probe: address ALU, read, tag check, branch.
-fn probe_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::Alu, Phase::Control);
-    b.push(Op::FramRead, Phase::Control);
-    b.push(Op::Alu, Phase::Control);
-    b.push(Op::Branch, Phase::Control);
-    b
+/// The graph's bundles, tallied once at build: each layer's loop (under
+/// [`Tagged`]) and the probe.
+struct Bundles {
+    layers: Vec<OpBundle>,
+    probe: OpBundle,
 }
 
 /// Charges and performs one probe of `buf[i]` against `tag`.
 fn probe(
     dev: &mut Device,
-    pb: &OpBundle,
+    b: &Bundles,
     buf: FramBuf,
     i: u32,
     tag: u16,
 ) -> Result<bool, PowerFailure> {
-    if dev.consume_bundle(pb, 1)? == 1 {
-        Ok(valid_with(dev.prepaid_read(buf, i), tag))
-    } else {
-        // Scalar replay: the brown-out lands on the exact op.
-        dev.consume(Op::Alu)?;
-        let w = dev.read(buf, i)?;
-        dev.consume(Op::Alu)?;
-        dev.consume(Op::Branch)?;
-        Ok(valid_with(w, tag))
-    }
+    let mut p = Probe::new(buf, tag);
+    run_loop(dev, &b.probe, &mut p, i, i + 1)?;
+    Ok(p.bad.is_none())
 }
 
 /// The progress seeker: finds `(pass, frontier)` to resume from.
@@ -388,17 +346,17 @@ fn seek(
     dev: &mut Device,
     m: &DeployedModel,
     p: &StatefulPlan,
+    b: &Bundles,
 ) -> Result<(usize, u32), PowerFailure> {
     dev.set_context(m.other_region, Phase::Control);
-    let pb = probe_bundle();
     for pi in (1..p.passes.len()).rev() {
         let pass = &p.passes[pi];
         let buf = m.buf(pass.buf);
-        if probe(dev, &pb, buf, 0, pass.tag)? {
+        if probe(dev, b, buf, 0, pass.tag)? {
             let (mut lo, mut hi) = (1u32, pass.len);
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
-                if probe(dev, &pb, buf, mid, pass.tag)? {
+                if probe(dev, b, buf, mid, pass.tag)? {
                     lo = mid + 1;
                 } else {
                     hi = mid;
@@ -410,355 +368,59 @@ fn seek(
     Ok((1, 0))
 }
 
-fn conv_element(
+/// One conv or dense output element `o`: the MAC loop over verified
+/// inputs, the bias, the embedded write. A dense layer's `[n, 1, 1]`
+/// output shape makes `o` its own filter index.
+fn element(
     dev: &mut Device,
     m: &DeployedModel,
     l: &DeployedLayer,
+    mac: &mut Mac<Tagged>,
+    iter: &OpBundle,
     o: u32,
-    in_tags: &[u16],
-    out_tag: u16,
+    act: Tagged,
 ) -> Result<(), PowerFailure> {
-    let DeployedKind::Conv {
-        dims,
-        weights,
-        sparse,
-        bias,
-        shift,
-    } = &l.kind
+    let (DeployedKind::Conv { bias, shift, .. } | DeployedKind::Dense { bias, shift, .. }) = l.kind
     else {
-        unreachable!("conv_element on non-conv")
+        unreachable!("element on a layer without weights")
     };
-    let [_, nc, kh, kw] = *dims;
-    let [_, h, w] = l.in_shape;
     let [_, oh, ow] = l.out_shape;
-    let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
     let f = o / (oh * ow);
-    let oy = (o / ow) % oh;
-    let ox = o % ow;
-    let ntaps = nc * kh * kw;
-    let mut acc = Accum::ZERO;
-    match sparse {
-        Some((row_ptr, taps)) => {
-            let iter = sparse_mac_bundle();
-            let start = dev.read(*row_ptr, f)?.raw() as u16 as u32;
-            let end = dev.read(*row_ptr, f + 1)?.raw() as u16 as u32;
-            let mut t = start;
-            while t < end {
-                let funded = dev.consume_bundle(&iter, (end - t) as u64)? as u32;
-                for k in t..t + funded {
-                    let off = dev.prepaid_read(*taps, 2 * k).raw() as u16;
-                    let (c, ky, kx) = unpack_tap(off, kh, kw);
-                    let wq = dev.prepaid_read(*taps, 2 * k + 1);
-                    let xq = verified_prepaid(
-                        dev,
-                        src,
-                        (c * h + oy + ky) * w + ox + kx,
-                        in_tags,
-                        l.region,
-                    )?;
-                    acc.mac(xq, wq);
-                }
-                t += funded;
-                if t < end {
-                    let off = dev.read(*taps, 2 * t)?.raw() as u16;
-                    dev.consume(Op::Alu)?; // unpack
-                    let (c, ky, kx) = unpack_tap(off, kh, kw);
-                    let wq = dev.read(*taps, 2 * t + 1)?;
-                    dev.consume(Op::Alu)?; // address
-                    let xq = verified_read(
-                        dev,
-                        src,
-                        (c * h + oy + ky) * w + ox + kx,
-                        in_tags,
-                        l.region,
-                    )?;
-                    dev.consume(Op::FxpMul)?;
-                    dev.consume(Op::FxpAdd)?;
-                    acc.mac(xq, wq);
-                    dev.consume(Op::Incr)?;
-                    dev.consume(Op::Branch)?;
-                    t += 1;
-                }
-            }
-        }
-        None => {
-            let iter = mac_bundle();
-            let mut pos = 0u32;
-            while pos < ntaps {
-                let funded = dev.consume_bundle(&iter, (ntaps - pos) as u64)? as u32;
-                for t in pos..pos + funded {
-                    let (c, ky, kx) = unpack_tap(t as u16, kh, kw);
-                    let wq = dev.prepaid_read(*weights, f * ntaps + t);
-                    let xq = verified_prepaid(
-                        dev,
-                        src,
-                        (c * h + oy + ky) * w + ox + kx,
-                        in_tags,
-                        l.region,
-                    )?;
-                    acc.mac(xq, wq);
-                }
-                pos += funded;
-                if pos < ntaps {
-                    let (c, ky, kx) = unpack_tap(pos as u16, kh, kw);
-                    let wq = dev.read(*weights, f * ntaps + pos)?;
-                    dev.consume(Op::Alu)?; // address
-                    let xq = verified_read(
-                        dev,
-                        src,
-                        (c * h + oy + ky) * w + ox + kx,
-                        in_tags,
-                        l.region,
-                    )?;
-                    dev.consume(Op::FxpMul)?;
-                    dev.consume(Op::FxpAdd)?;
-                    acc.mac(xq, wq);
-                    dev.consume(Op::Incr)?;
-                    dev.consume(Op::Branch)?;
-                    pos += 1;
-                }
-            }
-        }
-    }
-    let b = dev.read(*bias, f)?;
+    let acc = mac.run(dev, iter, [f, (o / ow) % oh, o % ow])?;
+    let b = dev.read(bias, f)?;
     charge_finish(dev)?;
-    dev.consume(Op::Alu)?; // embed pack
-    dev.write(dst, o, embed(finish_acc(acc, *shift, b), out_tag))
+    act.write(dev, m.buf(l.dst), o, finish_acc(acc, shift, b))
 }
 
-fn dense_element(
-    dev: &mut Device,
-    m: &DeployedModel,
-    l: &DeployedLayer,
-    o: u32,
-    in_tags: &[u16],
-    out_tag: u16,
-) -> Result<(), PowerFailure> {
-    let DeployedKind::Dense {
-        dims,
-        weights,
-        sparse_rows,
-        bias,
-        shift,
-        ..
-    } = &l.kind
-    else {
-        unreachable!("dense_element on non-dense")
-    };
-    let [_, in_n] = *dims;
-    let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
-    let mut acc = Accum::ZERO;
-    match sparse_rows {
-        Some((row_ptr, entries)) => {
-            let iter = fc_sparse_bundle();
-            let start = dev.read(*row_ptr, o)?.raw() as u16 as u32;
-            let end = dev.read(*row_ptr, o + 1)?.raw() as u16 as u32;
-            let mut t = start;
-            while t < end {
-                let funded = dev.consume_bundle(&iter, (end - t) as u64)? as u32;
-                for k in t..t + funded {
-                    let col = dev.prepaid_read(*entries, 2 * k).raw() as u16 as u32;
-                    let wq = dev.prepaid_read(*entries, 2 * k + 1);
-                    let xq = verified_prepaid(dev, src, col, in_tags, l.region)?;
-                    acc.mac(xq, wq);
-                }
-                t += funded;
-                if t < end {
-                    let col = dev.read(*entries, 2 * t)?.raw() as u16 as u32;
-                    let wq = dev.read(*entries, 2 * t + 1)?;
-                    dev.consume(Op::Alu)?;
-                    let xq = verified_read(dev, src, col, in_tags, l.region)?;
-                    dev.consume(Op::FxpMul)?;
-                    dev.consume(Op::FxpAdd)?;
-                    acc.mac(xq, wq);
-                    dev.consume(Op::Incr)?;
-                    dev.consume(Op::Branch)?;
-                    t += 1;
-                }
-            }
-        }
-        None => {
-            let iter = mac_bundle();
-            let mut i = 0u32;
-            while i < in_n {
-                let funded = dev.consume_bundle(&iter, (in_n - i) as u64)? as u32;
-                for k in i..i + funded {
-                    let wq = dev.prepaid_read(*weights, o * in_n + k);
-                    let xq = verified_prepaid(dev, src, k, in_tags, l.region)?;
-                    acc.mac(xq, wq);
-                }
-                i += funded;
-                if i < in_n {
-                    let wq = dev.read(*weights, o * in_n + i)?;
-                    dev.consume(Op::Alu)?;
-                    let xq = verified_read(dev, src, i, in_tags, l.region)?;
-                    dev.consume(Op::FxpMul)?;
-                    dev.consume(Op::FxpAdd)?;
-                    acc.mac(xq, wq);
-                    dev.consume(Op::Incr)?;
-                    dev.consume(Op::Branch)?;
-                    i += 1;
-                }
-            }
-        }
-    }
-    let b = dev.read(*bias, o)?;
-    charge_finish(dev)?;
-    dev.consume(Op::Alu)?; // embed pack
-    dev.write(dst, o, embed(finish_acc(acc, *shift, b), out_tag))
-}
-
-fn pool_pass(
-    dev: &mut Device,
-    m: &DeployedModel,
-    l: &DeployedLayer,
-    from: u32,
-    total: u32,
-    in_tags: &[u16],
-    out_tag: u16,
-) -> Result<(), PowerFailure> {
-    let DeployedKind::Pool { kh, kw } = l.kind else {
-        unreachable!("pool_pass on non-pool")
-    };
-    let [_, h, w] = l.in_shape;
-    let [_, oh, ow] = l.out_shape;
-    let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
-    let iter = pool_bundle(kh, kw);
-    let mut o = from;
-    while o < total {
-        let funded = dev.consume_bundle(&iter, (total - o) as u64)? as u32;
-        for k in o..o + funded {
-            let ch = k / (oh * ow);
-            let oy = (k / ow) % oh;
-            let ox = k % ow;
-            let mut best = Q15::MIN;
-            for py in 0..kh {
-                for px in 0..kw {
-                    let v = verified_prepaid(
-                        dev,
-                        src,
-                        (ch * h + oy * kh + py) * w + ox * kw + px,
-                        in_tags,
-                        l.region,
-                    )?;
-                    if v > best {
-                        best = v;
-                    }
-                }
-            }
-            dev.prepaid_write(dst, k, embed(best, out_tag));
-            dev.mark_progress();
-        }
-        o += funded;
-        if o < total {
-            let ch = o / (oh * ow);
-            let oy = (o / ow) % oh;
-            let ox = o % ow;
-            let mut best = Q15::MIN;
-            for py in 0..kh {
-                for px in 0..kw {
-                    dev.consume(Op::Alu)?;
-                    let v = verified_read(
-                        dev,
-                        src,
-                        (ch * h + oy * kh + py) * w + ox * kw + px,
-                        in_tags,
-                        l.region,
-                    )?;
-                    dev.consume(Op::Branch)?;
-                    if v > best {
-                        best = v;
-                    }
-                }
-            }
-            dev.consume(Op::Alu)?; // embed pack
-            dev.write(dst, o, embed(best, out_tag))?;
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            dev.mark_progress();
-            o += 1;
-        }
-    }
-    Ok(())
-}
-
-fn relu_pass(
-    dev: &mut Device,
-    m: &DeployedModel,
-    l: &DeployedLayer,
-    from: u32,
-    total: u32,
-    in_tags: &[u16],
-    out_tag: u16,
-) -> Result<(), PowerFailure> {
-    let buf = m.buf(l.src);
-    let iter = relu_bundle();
-    let mut i = from;
-    while i < total {
-        let funded = dev.consume_bundle(&iter, (total - i) as u64)? as u32;
-        for k in i..i + funded {
-            let v = verified_prepaid(dev, buf, k, in_tags, l.region)?;
-            dev.prepaid_write(buf, k, embed(v.relu(), out_tag));
-            dev.mark_progress();
-        }
-        i += funded;
-        if i < total {
-            let v = verified_read(dev, buf, i, in_tags, l.region)?;
-            dev.consume(Op::Branch)?;
-            dev.consume(Op::Alu)?; // embed pack
-            dev.write(buf, i, embed(v.relu(), out_tag))?;
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            dev.mark_progress();
-            i += 1;
-        }
-    }
-    Ok(())
-}
-
-/// Runs pass `pi` from element `from` to completion, embedding `tag`
+/// Runs pass `pi` from element `from` to completion, embedding its tag
 /// into every word written. Each element write atomically advances the
 /// progress frontier the seeker recovers.
 fn run_pass(
     dev: &mut Device,
     m: &DeployedModel,
     p: &StatefulPlan,
+    b: &Bundles,
     pi: usize,
     from: u32,
 ) -> Result<(), PowerFailure> {
     let pass = &p.passes[pi];
-    let l = &m.layers[pass.layer.expect("pass 0 is never executed")];
+    let li = pass.layer.expect("pass 0 is never executed");
+    let (l, iter) = (&m.layers[li], &b.layers[li]);
+    let act = Tagged::of(pass, l.region, matches!(l.kind, DeployedKind::Relu));
     dev.set_context(l.region, Phase::Kernel);
     match &l.kind {
-        DeployedKind::Conv { .. } => {
+        DeployedKind::Conv { .. } | DeployedKind::Dense { .. } => {
+            let mut mac = Mac::new(m, l, act);
             for o in from..pass.len {
-                conv_element(dev, m, l, o, &[pass.in_tag], pass.tag)?;
+                element(dev, m, l, &mut mac, iter, o, act)?;
                 dev.mark_progress();
             }
             Ok(())
         }
-        DeployedKind::Dense { .. } => {
-            for o in from..pass.len {
-                dense_element(dev, m, l, o, &[pass.in_tag], pass.tag)?;
-                dev.mark_progress();
-            }
-            Ok(())
+        DeployedKind::Pool { .. } => {
+            run_loop(dev, iter, &mut PoolBody::new(m, l, act), from, pass.len)
         }
-        DeployedKind::Pool { .. } => pool_pass(dev, m, l, from, pass.len, &[pass.in_tag], pass.tag),
-        // In-place: elements `< from` already carry `tag`, re-reads after
-        // a crash accept either tag (relu is idempotent on its output).
-        DeployedKind::Relu => relu_pass(
-            dev,
-            m,
-            l,
-            from,
-            pass.len,
-            &[pass.in_tag, pass.tag],
-            pass.tag,
-        ),
+        DeployedKind::Relu => run_loop(dev, iter, &mut ReluBody::new(m, l, act), from, pass.len),
         DeployedKind::Flatten => unreachable!("flatten never gets a pass"),
     }
 }
@@ -768,46 +430,29 @@ fn run_pass(
 /// is caught here and recomputed from the layer's intact inputs; the
 /// rescan repeats until clean. Detection is noted against the layer's
 /// corruption budget, so a repaired run reports `corruption_detected`.
-fn audit(dev: &mut Device, m: &DeployedModel, p: &StatefulPlan) -> Result<(), PowerFailure> {
+fn audit(
+    dev: &mut Device,
+    m: &DeployedModel,
+    p: &StatefulPlan,
+    b: &Bundles,
+) -> Result<(), PowerFailure> {
     let pi = p.passes.len() - 1;
     let pass = &p.passes[pi];
-    if pass.layer.is_none() {
+    let Some(li) = pass.layer else {
         return Ok(()); // degenerate model: output is the embedded input
-    }
-    let l = &m.layers[pass.layer.unwrap()];
-    let buf = m.buf(pass.buf);
-    let pb = probe_bundle();
+    };
+    let region = m.layers[li].region;
     loop {
-        dev.set_context(l.region, Phase::Control);
-        let mut bad: Option<u32> = None;
-        let mut i = 0u32;
-        while i < pass.len && bad.is_none() {
-            let funded = dev.consume_bundle(&pb, (pass.len - i) as u64)? as u32;
-            for k in i..i + funded {
-                if !valid_with(dev.prepaid_read(buf, k), pass.tag) {
-                    bad = Some(k);
-                    break;
-                }
-            }
-            i += funded;
-            if bad.is_none() && i < pass.len {
-                dev.consume(Op::Alu)?;
-                let w = dev.read(buf, i)?;
-                dev.consume(Op::Alu)?;
-                dev.consume(Op::Branch)?;
-                if !valid_with(w, pass.tag) {
-                    bad = Some(i);
-                }
-                i += 1;
-            }
-        }
-        match bad {
+        dev.set_context(region, Phase::Control);
+        let mut scan = Probe::new(m.buf(pass.buf), pass.tag);
+        run_loop(dev, &b.probe, &mut scan, 0, pass.len)?;
+        match scan.bad {
             None => return Ok(()),
             Some(k) => {
-                if !dev.note_corruption(l.region) {
+                if !dev.note_corruption(region) {
                     return Err(PowerFailure);
                 }
-                run_pass(dev, m, p, pi, k)?;
+                run_pass(dev, m, p, b, pi, k)?;
             }
         }
     }
@@ -822,15 +467,24 @@ pub fn build(m: &DeployedModel) -> TaskGraph<()> {
         p.tags_used.iter().all(|&u| u <= MAX_PASSES_PER_BUF),
         "stateful::preflight must gate deployment"
     );
+    let template = Tagged::of(&p.passes[0], m.other_region, false);
+    let b = Bundles {
+        layers: m
+            .layers
+            .iter()
+            .map(|l| layer_bundle(&m, l, template))
+            .collect(),
+        probe: OpBundle::tally(&Probe::new(m.act_a, 0), Phase::Control),
+    };
     let mut g = TaskGraph::new();
     g.add("stateful-inference", move |dev, _| {
         if p.passes.len() > 1 {
-            let (sp, frontier) = seek(dev, &m, &p)?;
+            let (sp, frontier) = seek(dev, &m, &p, &b)?;
             for pi in sp..p.passes.len() {
                 let from = if pi == sp { frontier } else { 0 };
-                run_pass(dev, &m, &p, pi, from)?;
+                run_pass(dev, &m, &p, &b, pi, from)?;
             }
-            audit(dev, &m, &p)?;
+            audit(dev, &m, &p, &b)?;
         }
         Ok(Transition::Done)
     });

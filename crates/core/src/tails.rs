@@ -27,18 +27,21 @@
 //!
 //! # Bundled accounting
 //!
-//! DMA transfers and LEA commands were already span-charged; the software
-//! word loops (CPU staging, the left-shift pass, the software FIR/dot
-//! ablations, partial-plane accumulation) and the per-element finishing
-//! passes now charge per loop body via [`mcu::OpBundle`] with the same
-//! funded-bulk + scalar-replay discipline as `sonic` — bit-identical
-//! traces, brown-out op included (pinned by the root `bundles` tests).
+//! DMA transfers and LEA commands are span-charged. The software word
+//! loops (CPU staging, the left-shift pass, the software FIR/dot
+//! ablations, partial-plane accumulation) and the finishing passes are
+//! [`mcu::LoopBody`]s run by [`mcu::run_loop`], like `sonic`'s. A
+//! convolution output row charges as one bundle built from DMA/LEA spans
+//! and the word bodies' tallies; its first unfunded row replays through
+//! the primitives — bit-identical traces, brown-out op included (pinned
+//! by the root `bundles` tests).
 
+use crate::baseline::layer_bundle;
 use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel};
-use crate::sonic;
+use crate::sonic::{self, Bias};
 use fxp::{Accum, Q15};
 use intermittent::task::{TaskGraph, Transition};
-use mcu::{Device, FramBuf, Op, OpBundle, Phase, PowerFailure, SramBuf};
+use mcu::{run_loop, Device, FramBuf, LoopBody, Meter, Op, OpBundle, Phase, PowerFailure, SramBuf};
 
 /// Hardware usage switches (both `true` for real TAILS; ablations flip
 /// them to software emulations).
@@ -99,8 +102,7 @@ pub(crate) fn preflight_sram(dev: &mut Device) -> Result<(), mcu::AllocError> {
     r
 }
 
-/// Copies FRAM → SRAM by DMA or CPU loop depending on config. Both paths
-/// charge per span; the CPU loop's brown-out replays scalar-wise.
+/// Copies FRAM → SRAM by DMA or CPU loop depending on config.
 fn stage_in(
     dev: &mut Device,
     cfg: TailsConfig,
@@ -110,27 +112,7 @@ fn stage_in(
     if cfg.use_dma {
         dev.dma_fram_to_sram(src, dst)
     } else {
-        let phase = dev.context().1;
-        let mut iter = OpBundle::new();
-        stage_in_word_ops(&mut iter, phase);
-        let total = src.len();
-        let mut i = 0u32;
-        while i < total {
-            let funded = dev.consume_bundle(&iter, (total - i) as u64)? as u32;
-            for t in i..i + funded {
-                let v = dev.prepaid_read(src, t);
-                dev.prepaid_sram_write(dst, t, v);
-            }
-            i += funded;
-            if i < total {
-                let v = dev.read(src, i)?;
-                dev.sram_write(dst, i, v)?;
-                dev.consume(Op::Incr)?;
-                dev.consume(Op::Branch)?;
-                i += 1;
-            }
-        }
-        Ok(())
+        word_loop(dev, StageIn { src, dst }, src.len()).map(drop)
     }
 }
 
@@ -144,85 +126,130 @@ fn stage_out(
     if cfg.use_dma {
         dev.dma_sram_to_fram(src, dst)
     } else {
-        let phase = dev.context().1;
-        let mut iter = OpBundle::new();
-        stage_out_word_ops(&mut iter, phase);
-        let total = src.len();
-        let mut i = 0u32;
-        while i < total {
-            let funded = dev.consume_bundle(&iter, (total - i) as u64)? as u32;
-            for t in i..i + funded {
-                let v = dev.prepaid_sram_read(src, t);
-                dev.prepaid_write(dst, t, v);
-            }
-            i += funded;
-            if i < total {
-                let v = dev.sram_read(src, i)?;
-                dev.write(dst, i, v)?;
-                dev.consume(Op::Incr)?;
-                dev.consume(Op::Branch)?;
-                i += 1;
-            }
-        }
-        Ok(())
+        word_loop(dev, StageOut { src, dst }, src.len()).map(drop)
     }
 }
 
-// ----- single-source word-level op sequences -------------------------
+// ----- software word loops -------------------------------------------
 //
-// Each software primitive's per-word (or per-output) op sequence is
-// defined exactly once here and used BOTH by the primitive's own
-// funded-bulk loop and by the whole-row bundle builders below — editing
-// a primitive's cost cannot desynchronize the row bundles.
+// Each software primitive's per-word (or per-output) iteration is one
+// body, used BOTH by the primitive's own loop and, through its tally, by
+// the whole-row bundle builders below — editing a primitive's cost
+// cannot desynchronize the row bundles.
+
+/// Runs a software word loop over `0..n` at the current phase, tallying
+/// its bundle on entry (these loops run only in the LEA/DMA ablations).
+fn word_loop<B: LoopBody + Clone>(
+    dev: &mut Device,
+    mut body: B,
+    n: u32,
+) -> Result<B, PowerFailure> {
+    let iter = OpBundle::tally(&body, dev.context().1);
+    run_loop(dev, &iter, &mut body, 0, n)?;
+    Ok(body)
+}
 
 /// One word of CPU staging FRAM → SRAM (the `use_dma = false` ablation).
-fn stage_in_word_ops(b: &mut OpBundle, phase: Phase) {
-    b.push(Op::FramRead, phase);
-    b.push(Op::SramWrite, phase);
-    b.push(Op::Incr, phase);
-    b.push(Op::Branch, phase);
+#[derive(Clone)]
+struct StageIn {
+    src: FramBuf,
+    dst: SramBuf,
+}
+
+impl LoopBody for StageIn {
+    fn step<M: Meter>(&mut self, m: &mut M, t: u32) -> Result<(), PowerFailure> {
+        let v = m.read(self.src, t)?;
+        m.sram_write(self.dst, t, v)?;
+        m.op(Op::Incr)?;
+        m.op(Op::Branch)
+    }
 }
 
 /// One word of CPU staging SRAM → FRAM.
-fn stage_out_word_ops(b: &mut OpBundle, phase: Phase) {
-    b.push(Op::SramRead, phase);
-    b.push(Op::FramWrite, phase);
-    b.push(Op::Incr, phase);
-    b.push(Op::Branch, phase);
+#[derive(Clone)]
+struct StageOut {
+    src: SramBuf,
+    dst: FramBuf,
 }
 
-/// One word of the software left-shift pass (read, shift ALU, write),
-/// charged to the control phase.
-fn shift_word_ops(b: &mut OpBundle) {
-    b.push(Op::SramRead, Phase::Control);
-    b.push(Op::Alu, Phase::Control);
-    b.push(Op::SramWrite, Phase::Control);
+impl LoopBody for StageOut {
+    fn step<M: Meter>(&mut self, m: &mut M, t: u32) -> Result<(), PowerFailure> {
+        let v = m.sram_read(self.src, t)?;
+        m.write(self.dst, t, v)?;
+        m.op(Op::Incr)?;
+        m.op(Op::Branch)
+    }
+}
+
+/// One word of the software left-shift pass (read, shift ALU, write).
+/// Values are pre-scaled at quantization, so the shift writes them back
+/// unchanged.
+#[derive(Clone)]
+struct Shift(SramBuf);
+
+impl LoopBody for Shift {
+    fn step<M: Meter>(&mut self, m: &mut M, t: u32) -> Result<(), PowerFailure> {
+        let v = m.sram_read(self.0, t)?;
+        m.op(Op::Alu)?;
+        m.sram_write(self.0, t, v)
+    }
 }
 
 /// One output of the software FIR (`use_lea = false`): the tap-window
 /// MACs plus the result write.
-fn fir_out_ops(b: &mut OpBundle, ntaps: u32, phase: Phase) {
-    for _ in 0..ntaps {
-        b.push(Op::SramRead, phase);
-        b.push(Op::FxpMul, phase);
-        b.push(Op::FxpAdd, phase);
+#[derive(Clone)]
+struct FirOut<'a> {
+    src: SramBuf,
+    taps: &'a [Q15],
+    out: SramBuf,
+}
+
+impl LoopBody for FirOut<'_> {
+    fn step<M: Meter>(&mut self, m: &mut M, i: u32) -> Result<(), PowerFailure> {
+        let mut acc = Accum::ZERO;
+        for (j, tq) in self.taps.iter().enumerate() {
+            let s = m.sram_read(self.src, i + j as u32)?;
+            m.op(Op::FxpMul)?;
+            m.op(Op::FxpAdd)?;
+            acc.mac(s, *tq);
+        }
+        m.sram_write(self.out, i, acc.to_q15())
     }
-    b.push(Op::SramWrite, phase);
 }
 
-/// One word of the software element-wise add.
-fn vec_add_word_ops(b: &mut OpBundle, phase: Phase) {
-    b.push(Op::SramRead, phase);
-    b.push(Op::SramRead, phase);
-    b.push(Op::FxpAdd, phase);
-    b.push(Op::SramWrite, phase);
+/// One word of the software vector dot.
+#[derive(Clone)]
+struct DotStep {
+    a: SramBuf,
+    b: SramBuf,
+    acc: Accum,
 }
 
-/// The software-shift iteration bundle.
-fn shift_iter_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    shift_word_ops(&mut b);
-    b
+impl LoopBody for DotStep {
+    fn step<M: Meter>(&mut self, m: &mut M, t: u32) -> Result<(), PowerFailure> {
+        let x = m.sram_read(self.a, t)?;
+        let y = m.sram_read(self.b, t)?;
+        m.op(Op::FxpMul)?;
+        m.op(Op::FxpAdd)?;
+        self.acc.mac(x, y);
+        Ok(())
+    }
+}
+
+/// One word of the software element-wise add (`dst += src`).
+#[derive(Clone)]
+struct VecAdd {
+    dst: SramBuf,
+    src: SramBuf,
+}
+
+impl LoopBody for VecAdd {
+    fn step<M: Meter>(&mut self, m: &mut M, t: u32) -> Result<(), PowerFailure> {
+        let a = m.sram_read(self.dst, t)?;
+        let b = m.sram_read(self.src, t)?;
+        m.op(Op::FxpAdd)?;
+        m.sram_write(self.dst, t, a + b)
+    }
 }
 
 // ----- whole-row bundles ---------------------------------------------
@@ -231,57 +258,97 @@ fn shift_iter_bundle() -> OpBundle {
 // software shift, FIR, optional partial-row accumulate, DMA out, loop
 // continuation). Its op sequence is fixed by layer geometry and the
 // LEA/DMA config, so whole rows charge as one bundle; the first unfunded
-// row replays through the scalar primitives below, landing the brown-out
-// on the exact op. The push_* builders mirror the primitives' op
-// sequences exactly — each has a debug companion in the scalar code.
+// row replays through the scalar primitives above, landing the brown-out
+// on the exact op. DMA and LEA spans are pushed here; software words
+// repeat their primitive's tally.
 
-/// Ops of [`stage_in`] for an `n`-word span.
-fn push_stage_in(b: &mut OpBundle, cfg: TailsConfig, n: u32, phase: Phase) {
-    if cfg.use_dma {
-        b.push(Op::DmaSetup, phase);
-        b.push_n(Op::DmaWord, phase, n as u64);
-    } else {
-        for _ in 0..n {
-            stage_in_word_ops(b, phase);
-        }
-    }
+/// The software primitives' one-word bundles, tallied from their bodies
+/// (kernel phase, the shift in the control phase).
+struct WordBundles {
+    stage_in: OpBundle,
+    stage_out: OpBundle,
+    shift: OpBundle,
+    fir_out: OpBundle,
+    vec_add: OpBundle,
 }
 
-/// Ops of [`stage_out`] for an `n`-word span.
-fn push_stage_out(b: &mut OpBundle, cfg: TailsConfig, n: u32, phase: Phase) {
-    if cfg.use_dma {
-        b.push(Op::DmaSetup, phase);
-        b.push_n(Op::DmaWord, phase, n as u64);
-    } else {
-        for _ in 0..n {
-            stage_out_word_ops(b, phase);
+impl WordBundles {
+    fn new(m: &DeployedModel, sram: SramBufs, kw: u32) -> Self {
+        let (f, s, k) = (m.plane_a, sram.src, Phase::Kernel);
+        let taps = vec![Q15::ZERO; kw as usize];
+        WordBundles {
+            stage_in: OpBundle::tally(&StageIn { src: f, dst: s }, k),
+            stage_out: OpBundle::tally(&StageOut { src: s, dst: f }, k),
+            shift: OpBundle::tally(&Shift(s), Phase::Control),
+            fir_out: OpBundle::tally(
+                &FirOut {
+                    src: s,
+                    taps: &taps,
+                    out: s,
+                },
+                k,
+            ),
+            vec_add: OpBundle::tally(&VecAdd { dst: s, src: s }, k),
         }
     }
-}
 
-/// Ops of [`fir`] over `n_src` inputs with `ntaps` taps.
-fn push_fir(b: &mut OpBundle, cfg: TailsConfig, n_src: u32, ntaps: u32, phase: Phase) {
-    let n_out = n_src - ntaps + 1;
-    if cfg.use_lea {
-        b.push(Op::LeaSetup, phase);
-        b.push_n(Op::LeaMac, phase, n_out as u64 * ntaps as u64);
-    } else {
-        b.push_n(Op::SramRead, phase, ntaps as u64); // taps pre-read
-        for _ in 0..n_out {
-            fir_out_ops(b, ntaps, phase);
+    /// Ops of [`stage_in`] / [`stage_out`] (`word`) for an `n`-word span.
+    fn push_stage(b: &mut OpBundle, cfg: TailsConfig, word: &OpBundle, n: u32) {
+        if cfg.use_dma {
+            b.push(Op::DmaSetup, Phase::Kernel);
+            b.push_n(Op::DmaWord, Phase::Kernel, n as u64);
+        } else {
+            b.append_n(word, n);
         }
     }
-}
 
-/// Ops of [`vec_add`] over `n` words.
-fn push_vec_add(b: &mut OpBundle, cfg: TailsConfig, n: u32, phase: Phase) {
-    if cfg.use_lea {
-        b.push_n(Op::LeaMac, phase, n as u64);
-        b.push_n(Op::SramWrite, phase, n as u64);
-    } else {
-        for _ in 0..n {
-            vec_add_word_ops(b, phase);
+    /// One full convolution output row.
+    fn conv_row(
+        &self,
+        cfg: TailsConfig,
+        w_in: u32,
+        ow: u32,
+        kw: u32,
+        with_inter: bool,
+    ) -> OpBundle {
+        let k = Phase::Kernel;
+        let mut b = OpBundle::new();
+        Self::push_stage(&mut b, cfg, &self.stage_in, w_in);
+        b.append_n(&self.shift, w_in);
+        // FIR over w_in inputs with kw taps.
+        let n_out = w_in - kw + 1;
+        if cfg.use_lea {
+            b.push(Op::LeaSetup, k);
+            b.push_n(Op::LeaMac, k, n_out as u64 * kw as u64);
+        } else {
+            b.push_n(Op::SramRead, k, kw as u64); // taps pre-read
+            b.append_n(&self.fir_out, n_out);
         }
+        if with_inter {
+            Self::push_stage(&mut b, cfg, &self.stage_in, ow);
+            if cfg.use_lea {
+                b.push_n(Op::LeaMac, k, ow as u64);
+                b.push_n(Op::SramWrite, k, ow as u64);
+            } else {
+                b.append_n(&self.vec_add, ow);
+            }
+        }
+        Self::push_stage(&mut b, cfg, &self.stage_out, ow);
+        push_row_trailer(&mut b);
+        b
+    }
+
+    /// One pass-through row of a fully pruned (all-zero) tap group.
+    fn zero_row(&self, cfg: TailsConfig, ow: u32, with_inter: bool) -> OpBundle {
+        let mut b = OpBundle::new();
+        if with_inter {
+            Self::push_stage(&mut b, cfg, &self.stage_in, ow);
+        } else {
+            b.push_n(Op::SramWrite, Phase::Kernel, ow as u64);
+        }
+        Self::push_stage(&mut b, cfg, &self.stage_out, ow);
+        push_row_trailer(&mut b);
+        b
     }
 }
 
@@ -293,38 +360,9 @@ fn push_row_trailer(b: &mut OpBundle) {
     b.push(Op::Branch, Phase::Kernel);
 }
 
-/// One full convolution output row.
-fn conv_row_bundle(cfg: TailsConfig, w_in: u32, ow: u32, kw: u32, with_inter: bool) -> OpBundle {
-    let mut b = OpBundle::new();
-    push_stage_in(&mut b, cfg, w_in, Phase::Kernel);
-    for _ in 0..w_in {
-        shift_word_ops(&mut b);
-    }
-    push_fir(&mut b, cfg, w_in, kw, Phase::Kernel);
-    if with_inter {
-        push_stage_in(&mut b, cfg, ow, Phase::Kernel);
-        push_vec_add(&mut b, cfg, ow, Phase::Kernel);
-    }
-    push_stage_out(&mut b, cfg, ow, Phase::Kernel);
-    push_row_trailer(&mut b);
-    b
-}
-
-/// One pass-through row of a fully pruned (all-zero) tap group.
-fn conv_zero_row_bundle(cfg: TailsConfig, ow: u32, with_inter: bool) -> OpBundle {
-    let mut b = OpBundle::new();
-    if with_inter {
-        push_stage_in(&mut b, cfg, ow, Phase::Kernel);
-    } else {
-        b.push_n(Op::SramWrite, Phase::Kernel, ow as u64);
-    }
-    push_stage_out(&mut b, cfg, ow, Phase::Kernel);
-    push_row_trailer(&mut b);
-    b
-}
-
 /// The software left-shift pass LEA cannot do (charged to the control
 /// phase: "these shifts account for most of the control time", §9.2).
+/// `iter` is the [`Shift`] word's bundle.
 fn software_shift(
     dev: &mut Device,
     buf: SramBuf,
@@ -333,22 +371,7 @@ fn software_shift(
     iter: &OpBundle,
 ) -> Result<(), PowerFailure> {
     dev.set_context(region, Phase::Control);
-    let mut i = 0u32;
-    while i < n {
-        let funded = dev.consume_bundle(iter, (n - i) as u64)? as u32;
-        for t in i..i + funded {
-            let v = dev.prepaid_sram_read(buf, t);
-            dev.prepaid_sram_write(buf, t, v);
-        }
-        i += funded;
-        if i < n {
-            let v = dev.sram_read(buf, i)?;
-            dev.consume(Op::Alu)?;
-            dev.sram_write(buf, i, v)?;
-            i += 1;
-        }
-    }
-    Ok(())
+    run_loop(dev, iter, &mut Shift(buf), 0, n)
 }
 
 /// FIR over SRAM: LEA or the software emulation.
@@ -363,36 +386,9 @@ fn fir(
         dev.lea_fir(src, taps, out)
     } else {
         let n = src.len() - taps.len() + 1;
-        let ntaps = taps.len();
-        let mut t = vec![Q15::ZERO; ntaps as usize];
+        let mut t = vec![Q15::ZERO; taps.len() as usize];
         dev.sram_read_block(taps, 0, &mut t)?;
-        let phase = dev.context().1;
-        let mut iter = OpBundle::new();
-        fir_out_ops(&mut iter, ntaps, phase);
-        let mut i = 0u32;
-        while i < n {
-            let funded = dev.consume_bundle(&iter, (n - i) as u64)? as u32;
-            for o in i..i + funded {
-                let mut acc = Accum::ZERO;
-                for (j, tq) in t.iter().enumerate() {
-                    acc.mac(dev.prepaid_sram_read(src, o + j as u32), *tq);
-                }
-                dev.prepaid_sram_write(out, o, acc.to_q15());
-            }
-            i += funded;
-            if i < n {
-                let mut acc = Accum::ZERO;
-                for (j, tq) in t.iter().enumerate() {
-                    let s = dev.sram_read(src, i + j as u32)?;
-                    dev.consume(Op::FxpMul)?;
-                    dev.consume(Op::FxpAdd)?;
-                    acc.mac(s, *tq);
-                }
-                dev.sram_write(out, i, acc.to_q15())?;
-                i += 1;
-            }
-        }
-        Ok(())
+        word_loop(dev, FirOut { src, taps: &t, out }, n).map(drop)
     }
 }
 
@@ -401,31 +397,12 @@ fn dot(dev: &mut Device, cfg: TailsConfig, a: SramBuf, b: SramBuf) -> Result<Acc
     if cfg.use_lea {
         dev.lea_dot(a, b)
     } else {
-        let phase = dev.context().1;
-        let mut iter = OpBundle::new();
-        iter.push(Op::SramRead, phase);
-        iter.push(Op::SramRead, phase);
-        iter.push(Op::FxpMul, phase);
-        iter.push(Op::FxpAdd, phase);
-        let n = a.len();
-        let mut acc = Accum::ZERO;
-        let mut i = 0u32;
-        while i < n {
-            let funded = dev.consume_bundle(&iter, (n - i) as u64)? as u32;
-            for t in i..i + funded {
-                acc.mac(dev.prepaid_sram_read(a, t), dev.prepaid_sram_read(b, t));
-            }
-            i += funded;
-            if i < n {
-                let x = dev.sram_read(a, i)?;
-                let y = dev.sram_read(b, i)?;
-                dev.consume(Op::FxpMul)?;
-                dev.consume(Op::FxpAdd)?;
-                acc.mac(x, y);
-                i += 1;
-            }
-        }
-        Ok(acc)
+        let body = DotStep {
+            a,
+            b,
+            acc: Accum::ZERO,
+        };
+        word_loop(dev, body, a.len()).map(|d| d.acc)
     }
 }
 
@@ -450,26 +427,7 @@ fn vec_add(
             .collect();
         dev.sram_write_block(dst, 0, &vals)
     } else {
-        let phase = dev.context().1;
-        let mut iter = OpBundle::new();
-        vec_add_word_ops(&mut iter, phase);
-        let mut i = 0u32;
-        while i < n {
-            let funded = dev.consume_bundle(&iter, (n - i) as u64)? as u32;
-            for t in i..i + funded {
-                let v = dev.prepaid_sram_read(dst, t) + dev.prepaid_sram_read(src, t);
-                dev.prepaid_sram_write(dst, t, v);
-            }
-            i += funded;
-            if i < n {
-                let a = dev.sram_read(dst, i)?;
-                let b = dev.sram_read(src, i)?;
-                dev.consume(Op::FxpAdd)?;
-                dev.sram_write(dst, i, a + b)?;
-                i += 1;
-            }
-        }
-        Ok(())
+        word_loop(dev, VecAdd { dst, src }, n).map(drop)
     }
 }
 
@@ -540,7 +498,6 @@ fn conv_task(
         dims,
         weights,
         bias,
-        shift,
         ..
     } = &l.kind
     else {
@@ -551,7 +508,6 @@ fn conv_task(
     let [_, oh, ow] = l.out_shape;
     let plane = oh * ow;
     let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
     let groups = nc * kh; // one FIR tap-row per (channel, kernel-row)
 
     dev.set_context(l.region, Phase::Control);
@@ -573,21 +529,8 @@ fn conv_task(
             m.plane_b
         };
         let j = sonic::load_guarded(dev, l.idx, l.region)? as u32;
-        sonic::finish_pass(
-            dev,
-            l,
-            &bundles.finish,
-            l.idx,
-            Some(from_plane),
-            None,
-            b,
-            dst,
-            f * plane,
-            plane,
-            *shift,
-            |j| j as u16,
-            j,
-        )?;
+        let body = sonic::Finish::new(m, l, Some(from_plane), Bias::Const(b), f * plane);
+        sonic::finish_pass(dev, l, &bundles.finish, body, plane, j)?;
         dev.set_context(l.region, Phase::Control);
         dev.store_word(l.idx, 0)?;
         dev.store_word(l.pos, 0)?;
@@ -622,11 +565,7 @@ fn conv_task(
     if all_zero {
         let mut oy = sonic::load_guarded(dev, l.idx, l.region)? as u32;
         dev.set_context(l.region, Phase::Kernel);
-        let row_iter = if g > 0 {
-            &bundles.zero_row_rest
-        } else {
-            &bundles.zero_row_first
-        };
+        let row_iter = &bundles.zero_row[usize::from(g > 0)];
         while oy < oh {
             let want = oh - oy;
             let funded = dev.consume_bundle(row_iter, want as u64)? as u32;
@@ -679,11 +618,7 @@ fn conv_task(
 
     let mut oy = sonic::load_guarded(dev, l.idx, l.region)? as u32;
     dev.set_context(l.region, Phase::Kernel);
-    let row_iter = if g > 0 {
-        &bundles.row_rest
-    } else {
-        &bundles.row_first
-    };
+    let row_iter = &bundles.row[usize::from(g > 0)];
     while oy < oh {
         let want = oh - oy;
         let funded = dev.consume_bundle(row_iter, want as u64)? as u32;
@@ -781,7 +716,6 @@ fn dense_task(
         dims,
         weights,
         bias,
-        shift,
         ..
     } = &l.kind
     else {
@@ -789,7 +723,6 @@ fn dense_task(
     };
     let [out_n, in_n] = *dims;
     let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
 
     dev.set_context(l.region, Phase::Control);
     // Calibration-word range check, promoted from the spec harness's
@@ -834,21 +767,8 @@ fn dense_task(
             m.plane_b
         };
         let o = sonic::load_guarded(dev, l.idx, l.region)? as u32;
-        sonic::finish_pass(
-            dev,
-            l,
-            &bundles.finish,
-            l.idx,
-            Some(from),
-            Some(*bias),
-            Q15::ZERO,
-            dst,
-            0,
-            out_n,
-            *shift,
-            |o| o as u16,
-            o,
-        )?;
+        let body = sonic::Finish::new(m, l, Some(from), Bias::PerElement(*bias), 0);
+        sonic::finish_pass(dev, l, &bundles.finish, body, out_n, o)?;
         dev.set_context(l.region, Phase::Control);
         dev.store_word(l.idx, 0)?;
         dev.store_word(l.pos, 0)?;
@@ -904,24 +824,25 @@ fn dense_task(
 struct TailsConvBundles {
     shift: OpBundle,
     finish: OpBundle,
-    /// Full output row, first tap group (no partial accumulate).
-    row_first: OpBundle,
-    /// Full output row, later tap groups.
-    row_rest: OpBundle,
-    /// All-zero tap group pass-through rows.
-    zero_row_first: OpBundle,
-    zero_row_rest: OpBundle,
+    /// Full output rows: first tap group (no partial accumulate), later
+    /// groups.
+    row: [OpBundle; 2],
+    /// All-zero tap group pass-through rows, likewise.
+    zero_row: [OpBundle; 2],
 }
 
 impl TailsConvBundles {
-    fn new(cfg: TailsConfig, w_in: u32, ow: u32, kw: u32) -> Self {
+    fn new(m: &DeployedModel, l: &DeployedLayer, sram: SramBufs, cfg: TailsConfig) -> Self {
+        let DeployedKind::Conv { dims, .. } = l.kind else {
+            unreachable!("conv bundles on non-conv")
+        };
+        let (w_in, ow, kw) = (l.in_shape[2], l.out_shape[2], dims[3]);
+        let words = WordBundles::new(m, sram, kw);
         TailsConvBundles {
-            shift: shift_iter_bundle(),
-            finish: sonic::finish_bundle(true, false),
-            row_first: conv_row_bundle(cfg, w_in, ow, kw, false),
-            row_rest: conv_row_bundle(cfg, w_in, ow, kw, true),
-            zero_row_first: conv_zero_row_bundle(cfg, ow, false),
-            zero_row_rest: conv_zero_row_bundle(cfg, ow, true),
+            finish: sonic::Finish::new(m, l, Some(m.plane_a), Bias::Const(Q15::ZERO), 0).bundle(),
+            row: [false, true].map(|inter| words.conv_row(cfg, w_in, ow, kw, inter)),
+            zero_row: [false, true].map(|inter| words.zero_row(cfg, ow, inter)),
+            shift: words.shift,
         }
     }
 }
@@ -934,10 +855,13 @@ struct TailsDenseBundles {
 }
 
 impl TailsDenseBundles {
-    fn new() -> Self {
+    fn new(m: &DeployedModel, l: &DeployedLayer, sram: SramBufs) -> Self {
+        let DeployedKind::Dense { bias, .. } = l.kind else {
+            unreachable!("dense bundles on non-dense")
+        };
         TailsDenseBundles {
-            shift: shift_iter_bundle(),
-            finish: sonic::finish_bundle(true, true),
+            shift: OpBundle::tally(&Shift(sram.src), Phase::Control),
+            finish: sonic::Finish::new(m, l, Some(m.plane_a), Bias::PerElement(bias), 0).bundle(),
         }
     }
 }
@@ -969,39 +893,38 @@ pub fn build(m: &DeployedModel, cfg: TailsConfig, dev: &mut Device) -> TaskGraph
         };
         let name = format!("tails-layer{li}");
         match &l.kind {
-            DeployedKind::Conv { dims, .. } => {
+            DeployedKind::Conv { .. } => {
+                let bundles = TailsConvBundles::new(m, l, sram, cfg);
                 let m = m.clone();
-                let (w_in, ow, kw) = (l.in_shape[2], l.out_shape[2], dims[3]);
-                let bundles = TailsConvBundles::new(cfg, w_in, ow, kw);
                 g.add(&name, move |dev, _| {
                     conv_task(dev, &m, &m.layers[li], sram, cfg, &bundles, self_id, next)
                 });
             }
             DeployedKind::Dense { sparse, .. } if sparse.is_some() => {
                 // §7.2: sparse FC stays in software, exactly like SONIC.
+                let bundles = sonic::SparseBundles::new(m, l);
                 let m = m.clone();
-                let bundles = sonic::SparseBundles::new();
                 g.add(&name, move |dev, _| {
                     sonic::sparse_dense_task(dev, &m, &m.layers[li], &bundles, self_id, next)
                 });
             }
             DeployedKind::Dense { .. } => {
+                let bundles = TailsDenseBundles::new(m, l, sram);
                 let m = m.clone();
-                let bundles = TailsDenseBundles::new();
                 g.add(&name, move |dev, _| {
                     dense_task(dev, &m, &m.layers[li], sram, cfg, &bundles, self_id, next)
                 });
             }
-            DeployedKind::Pool { kh, kw } => {
+            DeployedKind::Pool { .. } => {
+                let iter = layer_bundle(m, l, sonic::Continued::at(l.idx));
                 let m = m.clone();
-                let iter = sonic::pool_iter_bundle(*kh, *kw);
                 g.add(&name, move |dev, _| {
                     sonic::pool_task(dev, &m, &m.layers[li], &iter, next)
                 });
             }
             DeployedKind::Relu => {
+                let iter = layer_bundle(m, l, sonic::Continued::at(l.idx));
                 let m = m.clone();
-                let iter = sonic::relu_iter_bundle();
                 g.add(&name, move |dev, _| {
                     sonic::relu_task(dev, &m, &m.layers[li], &iter, next)
                 });

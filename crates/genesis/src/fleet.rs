@@ -289,7 +289,7 @@ pub fn fleet_score(
     ctx: &EvalContext<'_>,
     cfg: &FleetScoreConfig,
 ) -> Vec<FleetScored> {
-    crate::parallel::par_map(frontier_indices(results), &|i| {
+    sonic::fleet::par_map(frontier_indices(results), &|i| {
         score_plan(&results[i], i, ctx, cfg)
     })
 }

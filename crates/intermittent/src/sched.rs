@@ -149,6 +149,18 @@ impl core::fmt::Display for RunError {
     }
 }
 
+impl RunError {
+    /// The task the error names, when it names one.
+    pub fn task(&self) -> Option<&str> {
+        match self {
+            RunError::NonTermination { task, .. }
+            | RunError::SupplyDead { task }
+            | RunError::Corrupted { task, .. } => Some(task),
+            RunError::TransitionLimit { .. } => None,
+        }
+    }
+}
+
 impl std::error::Error for RunError {}
 
 /// A power-failure notification delivered to a crash observer (see

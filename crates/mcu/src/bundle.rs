@@ -1,45 +1,70 @@
 //! Bundled op accounting: charge a loop body per iteration, not per op.
 //!
 //! Metering every ALU op, loop increment, and memory word with one
-//! [`Device::consume`](crate::Device::consume) call makes the *simulator*
-//! the bottleneck long before the simulated MSP430 is: a SONIC inference
-//! is a few hundred thousand `consume` calls, each a cost lookup, a power
-//! branch, and a trace update. An [`OpBundle`] precomputes the ordered op
-//! sequence of one inner-loop iteration so the device can charge whole
-//! iterations with one arithmetic step
-//! ([`Device::consume_bundle`](crate::Device::consume_bundle)) while
-//! staying **cycle- and energy-exact**, brown-out op included:
+//! [`Device::consume`] call makes the *simulator* the bottleneck long
+//! before the simulated MSP430 is: a SONIC inference is a few hundred
+//! thousand `consume` calls, each a cost lookup, a power branch, and a
+//! trace update. An [`OpBundle`] holds the ordered op sequence of one
+//! inner-loop iteration so the device can charge whole iterations with
+//! one arithmetic step ([`Device::consume_bundle`]) while staying
+//! **cycle- and energy-exact**, brown-out op included:
 //!
 //! - The number of *complete* iterations the remaining buffer funds is
 //!   `charge / iter_energy` — exactly the number the scalar path would
 //!   have completed, because per-op energies are non-negative integers
 //!   (if the remaining charge covers a whole iteration it covers every
 //!   prefix of it).
-//! - The first unfunded iteration is then replayed op by op through the
-//!   original scalar code, so the brown-out lands on *exactly* the same
-//!   op, with exactly the same partial memory effects, as an all-scalar
-//!   execution.
+//! - The first unfunded iteration then runs op by op, so the brown-out
+//!   lands on *exactly* the same op, with exactly the same partial memory
+//!   effects, as an all-scalar execution.
 //!
 //! Trace cells are plain accumulators, so charging `n` iterations of each
 //! `(phase, op)` entry in bulk produces bit-identical totals to `n`
 //! interleaved scalar charges. The root `bundles` test suite pins this
 //! equivalence against digests recorded from the scalar implementation.
 //!
+//! # One body, three meters
+//!
+//! A metered loop writes its iteration once, as a [`LoopBody`] whose
+//! [`step`](LoopBody::step) charges every op through a [`Meter`]:
+//!
+//! - [`Tally`] records each `(op, phase)` the body charges. It never
+//!   touches a device and never fails; [`OpBundle::tally`] builds a loop's
+//!   bundle this way, once, when the runtime is built.
+//! - The funded meter (inside [`run_loop`]) moves data through the
+//!   device's `prepaid_*` accessors and treats every op as already paid.
+//!   It writes the loop-continuation word and the progress marks once per
+//!   funded batch rather than once per iteration.
+//! - The [`Device`] itself is the scalar meter: one [`Device::consume`]
+//!   per op, in the body's order, with the same context switches and the
+//!   per-iteration continuation write and progress mark.
+//!
+//! [`run_loop`] drives them: it funds a batch with
+//! [`Device::consume_bundle`], runs those iterations under the funded
+//! meter, and the first unfunded one on the device itself. The bundle
+//! is the body's own op sequence by construction, so bulk and scalar
+//! charging cannot drift apart.
+//!
+//! # Op tapes
+//!
 //! For loop bodies whose op sequence is data-dependent but which have
 //! **no durable side effects** until a later commit (the Alpaca redo-log
 //! bodies), the same type doubles as an *op tape*: the body tallies every
 //! op it would have consumed while executing host-side, then settles the
-//! tape in one step ([`Device::consume_bundle`](crate::Device::consume_bundle)).
+//! tape in one step ([`Device::consume_bundle`]).
 //! Tapes are **count-first** ([`OpBundle::counting`]): they keep only the
 //! aggregate `(phase, op)` counts, which is all a funded settle needs.
 //! The ordered sequence matters only when the settle falls short, and
 //! then the body is re-run against the same inputs with a sequenced tape
-//! ([`OpBundle::new`]) that [`Device::consume_tape`](crate::Device::consume_tape)
-//! replays op by op to the exact brown-out op. Most bodies settle in
-//! full, so most never pay for recording the sequence.
+//! ([`OpBundle::new`]) that [`Device::consume_tape`] replays op by op to
+//! the exact brown-out op. Most bodies settle in full, so most never pay
+//! for recording the sequence.
 
+use crate::device::{Device, FramBuf, FramWord, PowerFailure, SramBuf};
 use crate::spec::{CostTable, Op};
 use crate::trace::Phase;
+use crate::trace::RegionId;
+use fxp::Q15;
 
 /// One run-length-encoded entry of a bundle's ordered op sequence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -154,6 +179,28 @@ impl OpBundle {
         self.counts.iter().flatten().sum()
     }
 
+    /// Tallies one iteration of `body` (on a copy, so cursors stay put),
+    /// starting in `phase`: the loop's bundle, as the body itself charges
+    /// it.
+    pub fn tally<B: LoopBody + Clone>(body: &B, phase: Phase) -> OpBundle {
+        let mut t = Tally {
+            bundle: OpBundle::new(),
+            phase,
+        };
+        body.clone().step(&mut t, 0).expect("a tally never fails");
+        t.bundle
+    }
+
+    /// Appends `n` copies of `other`'s op sequence (a multi-iteration
+    /// body built from a one-iteration one).
+    pub fn append_n(&mut self, other: &OpBundle, n: u32) {
+        for _ in 0..n {
+            for e in other.ops() {
+                self.push_n(e.op, e.phase, e.count);
+            }
+        }
+    }
+
     /// Empties the bundle, keeping its capacity and recording mode.
     pub fn clear(&mut self) {
         self.seq.clear();
@@ -174,6 +221,264 @@ impl OpBundle {
         }
         (cycles, energy)
     }
+}
+
+// ----- one body, three meters -----------------------------------------
+
+/// What a metered loop body charges its ops through: a recorder
+/// ([`Tally`]), pre-paid data movement (funded iterations), or the
+/// [`Device`] itself, one [`Device::consume`] per op (the first unfunded
+/// iteration, and any code outside a funded loop). A body is
+/// written once against this trait; see the [module docs](self).
+///
+/// Every op is charged at the meter's current phase, except the
+/// loop-continuation write of [`Meter::store_ctl`].
+pub trait Meter {
+    /// Charges one op with no memory effect (ALU, multiply, branch, …).
+    fn op(&mut self, op: Op) -> Result<(), PowerFailure>;
+    /// Reads one FRAM word ([`Op::FramRead`]).
+    fn read(&mut self, buf: FramBuf, i: u32) -> Result<Q15, PowerFailure>;
+    /// Writes one FRAM word ([`Op::FramWrite`]).
+    fn write(&mut self, buf: FramBuf, i: u32, v: Q15) -> Result<(), PowerFailure>;
+    /// Reads one SRAM word ([`Op::SramRead`]).
+    fn sram_read(&mut self, buf: SramBuf, i: u32) -> Result<Q15, PowerFailure>;
+    /// Writes one SRAM word ([`Op::SramWrite`]).
+    fn sram_write(&mut self, buf: SramBuf, i: u32, v: Q15) -> Result<(), PowerFailure>;
+    /// Writes a FRAM counter word as data, at the current phase (an undo
+    /// slot, say).
+    fn store_word(&mut self, w: FramWord, v: u16) -> Result<(), PowerFailure>;
+    /// The loop-continuation write: a control-phase store of `v` to `w`,
+    /// after which the body continues in the kernel phase.
+    fn store_ctl(&mut self, w: FramWord, v: u16) -> Result<(), PowerFailure>;
+    /// Marks one iteration's forward progress ([`Device::mark_progress`]).
+    fn progress(&mut self);
+    /// Detected data corruption the body cannot repair: spends the
+    /// region's retry budget ([`Device::note_corruption`]) and fails.
+    fn abort_corrupted(&mut self, region: RegionId) -> Result<(), PowerFailure>;
+}
+
+/// One iteration of a metered loop, written once against a [`Meter`].
+///
+/// The op sequence of a step must not depend on data values: the
+/// [`Tally`] of one step is the bundle that funds every step. Bodies may
+/// keep incremental cursors; [`run_loop`] calls `step` with consecutive
+/// indices, whichever meter runs them.
+pub trait LoopBody {
+    /// Runs iteration `t`.
+    fn step<M: Meter>(&mut self, m: &mut M, t: u32) -> Result<(), PowerFailure>;
+
+    /// `true` once the loop should stop early (a scan found its hit).
+    /// Iterations already funded in the batch stay charged.
+    #[inline]
+    fn done(&self) -> bool {
+        false
+    }
+}
+
+/// Records the ops a body charges. Never touches a device, never fails:
+/// reads return zero and corruption checks pass.
+#[derive(Debug)]
+pub struct Tally {
+    bundle: OpBundle,
+    phase: Phase,
+}
+
+impl Meter for Tally {
+    fn op(&mut self, op: Op) -> Result<(), PowerFailure> {
+        self.bundle.push(op, self.phase);
+        Ok(())
+    }
+    fn read(&mut self, _: FramBuf, _: u32) -> Result<Q15, PowerFailure> {
+        self.op(Op::FramRead).map(|()| Q15::ZERO)
+    }
+    fn write(&mut self, _: FramBuf, _: u32, _: Q15) -> Result<(), PowerFailure> {
+        self.op(Op::FramWrite)
+    }
+    fn sram_read(&mut self, _: SramBuf, _: u32) -> Result<Q15, PowerFailure> {
+        self.op(Op::SramRead).map(|()| Q15::ZERO)
+    }
+    fn sram_write(&mut self, _: SramBuf, _: u32, _: Q15) -> Result<(), PowerFailure> {
+        self.op(Op::SramWrite)
+    }
+    fn store_word(&mut self, _: FramWord, _: u16) -> Result<(), PowerFailure> {
+        self.op(Op::FramWrite)
+    }
+    fn store_ctl(&mut self, _: FramWord, _: u16) -> Result<(), PowerFailure> {
+        self.bundle.push(Op::FramWrite, Phase::Control);
+        self.phase = Phase::Kernel;
+        Ok(())
+    }
+    fn progress(&mut self) {}
+    fn abort_corrupted(&mut self, _: RegionId) -> Result<(), PowerFailure> {
+        Ok(())
+    }
+}
+
+/// Funded iterations: the bundle already paid for every op, so data
+/// moves through the `prepaid_*` accessors. The continuation word and
+/// the progress marks are settled once per batch ([`Funded::settle`]).
+struct Funded<'a> {
+    dev: &'a mut Device,
+    ctl: Option<(FramWord, u16)>,
+    progress: u64,
+}
+
+impl Funded<'_> {
+    /// Only the batch's last continuation write is observable after an
+    /// uninterrupted run of iterations.
+    fn settle(self) {
+        if let Some((w, v)) = self.ctl {
+            self.dev.prepaid_store_word(w, v);
+        }
+        self.dev.mark_progress_n(self.progress);
+    }
+}
+
+impl Meter for Funded<'_> {
+    #[inline(always)]
+    fn op(&mut self, _: Op) -> Result<(), PowerFailure> {
+        Ok(())
+    }
+    #[inline(always)]
+    fn read(&mut self, buf: FramBuf, i: u32) -> Result<Q15, PowerFailure> {
+        Ok(self.dev.prepaid_read(buf, i))
+    }
+    #[inline(always)]
+    fn write(&mut self, buf: FramBuf, i: u32, v: Q15) -> Result<(), PowerFailure> {
+        self.dev.prepaid_write(buf, i, v);
+        Ok(())
+    }
+    #[inline(always)]
+    fn sram_read(&mut self, buf: SramBuf, i: u32) -> Result<Q15, PowerFailure> {
+        Ok(self.dev.prepaid_sram_read(buf, i))
+    }
+    #[inline(always)]
+    fn sram_write(&mut self, buf: SramBuf, i: u32, v: Q15) -> Result<(), PowerFailure> {
+        self.dev.prepaid_sram_write(buf, i, v);
+        Ok(())
+    }
+    #[inline(always)]
+    fn store_word(&mut self, w: FramWord, v: u16) -> Result<(), PowerFailure> {
+        self.dev.prepaid_store_word(w, v);
+        Ok(())
+    }
+    #[inline(always)]
+    fn store_ctl(&mut self, w: FramWord, v: u16) -> Result<(), PowerFailure> {
+        self.ctl = Some((w, v));
+        Ok(())
+    }
+    #[inline(always)]
+    fn progress(&mut self) {
+        self.progress += 1;
+    }
+    fn abort_corrupted(&mut self, region: RegionId) -> Result<(), PowerFailure> {
+        abort_corrupted(self.dev, region)
+    }
+}
+
+/// The device itself is the scalar meter: one [`Device::consume`] per op,
+/// so the first unfunded iteration browns out on exactly the op an
+/// all-scalar execution dies on.
+impl Meter for Device {
+    fn op(&mut self, op: Op) -> Result<(), PowerFailure> {
+        self.consume(op)
+    }
+    fn read(&mut self, buf: FramBuf, i: u32) -> Result<Q15, PowerFailure> {
+        Device::read(self, buf, i)
+    }
+    fn write(&mut self, buf: FramBuf, i: u32, v: Q15) -> Result<(), PowerFailure> {
+        Device::write(self, buf, i, v)
+    }
+    fn sram_read(&mut self, buf: SramBuf, i: u32) -> Result<Q15, PowerFailure> {
+        Device::sram_read(self, buf, i)
+    }
+    fn sram_write(&mut self, buf: SramBuf, i: u32, v: Q15) -> Result<(), PowerFailure> {
+        Device::sram_write(self, buf, i, v)
+    }
+    fn store_word(&mut self, w: FramWord, v: u16) -> Result<(), PowerFailure> {
+        Device::store_word(self, w, v)
+    }
+    fn store_ctl(&mut self, w: FramWord, v: u16) -> Result<(), PowerFailure> {
+        let region = self.context().0;
+        self.set_context(region, Phase::Control);
+        Device::store_word(self, w, v)?;
+        self.set_context(region, Phase::Kernel);
+        Ok(())
+    }
+    fn progress(&mut self) {
+        self.mark_progress();
+    }
+    fn abort_corrupted(&mut self, region: RegionId) -> Result<(), PowerFailure> {
+        abort_corrupted(self, region)
+    }
+}
+
+fn abort_corrupted(dev: &mut Device, region: RegionId) -> Result<(), PowerFailure> {
+    while dev.note_corruption(region) {}
+    Err(PowerFailure)
+}
+
+/// Runs iterations `from..end` of `body`, whose one-iteration op
+/// sequence is `bundle` (its [`OpBundle::tally`]): each batch the buffer
+/// funds runs under the funded meter, then the first unfunded iteration
+/// runs op by op with the device itself as the meter. Stops early once
+/// [`LoopBody::done`].
+///
+/// # Errors
+///
+/// Returns [`PowerFailure`] on the brown-out, or when the body fails.
+pub fn run_loop<B: LoopBody + Clone>(
+    dev: &mut Device,
+    bundle: &OpBundle,
+    body: &mut B,
+    from: u32,
+    end: u32,
+) -> Result<(), PowerFailure> {
+    let mut i = from;
+    while i < end {
+        let funded = dev.consume_bundle(bundle, (end - i) as u64)? as u32;
+        let mut f = Funded {
+            dev: &mut *dev,
+            ctl: None,
+            progress: 0,
+        };
+        // A local copy lets the compiler keep the body's cursors and
+        // accumulators in registers: through `&mut B` it must store them
+        // back every iteration, in case the iteration panics.
+        let mut local = body.clone();
+        let r = run_funded(&mut f, &mut local, i, i + funded);
+        *body = local;
+        f.settle();
+        r?;
+        i += funded;
+        if body.done() {
+            return Ok(());
+        }
+        if i < end {
+            body.step(dev, i)?;
+            i += 1;
+            if body.done() {
+                return Ok(());
+            }
+        }
+    }
+    Ok(())
+}
+
+#[inline(always)]
+fn run_funded<B: LoopBody>(
+    f: &mut Funded<'_>,
+    body: &mut B,
+    from: u32,
+    end: u32,
+) -> Result<(), PowerFailure> {
+    for t in from..end {
+        body.step(f, t)?;
+        if body.done() {
+            break;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -766,7 +766,8 @@ impl Device {
     /// iteration through its scalar code path, which browns out on
     /// exactly the same op, with exactly the same partial memory effects,
     /// as an all-scalar execution. The `prepaid_*` accessors perform the
-    /// memory effects of the iterations charged here.
+    /// memory effects of the iterations charged here. [`crate::run_loop`]
+    /// does both from one loop body.
     ///
     /// Ops are charged to the device's current region at each entry's own
     /// phase; trace cells are order-independent accumulators, so bulk
@@ -1812,6 +1813,7 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bundle::{run_loop, LoopBody, Meter};
     use crate::spec::CostTable;
 
     fn continuous() -> Device {
@@ -2195,6 +2197,48 @@ mod tests {
         Ok(())
     }
 
+    /// The same iteration written once as a [`LoopBody`], with real
+    /// memory effects for its reads and writes.
+    #[derive(Clone)]
+    struct SeqBody {
+        seq: Vec<(Op, Phase)>,
+        buf: FramBuf,
+        ctl: FramWord,
+    }
+
+    impl LoopBody for SeqBody {
+        fn step<M: Meter>(&mut self, m: &mut M, t: u32) -> Result<(), PowerFailure> {
+            for &(op, phase) in &self.seq {
+                match (op, phase) {
+                    (Op::FramRead, Phase::Kernel) => m.read(self.buf, 0).map(drop)?,
+                    (Op::FramWrite, Phase::Kernel) => {
+                        m.write(self.buf, 0, Q15::from_raw(t as i16))?;
+                    }
+                    (Op::FramWrite, Phase::Control) => m.store_ctl(self.ctl, t as u16)?,
+                    _ => m.op(op)?,
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// Allocates the body's memory on `dev` (before it is cloned, so
+    /// every copy addresses the same words).
+    fn seq_body(dev: &mut Device, seq: &[(Op, Phase)]) -> SeqBody {
+        SeqBody {
+            seq: seq.to_vec(),
+            buf: dev.fram_alloc(1).unwrap(),
+            ctl: dev.fram_alloc_word().unwrap(),
+        }
+    }
+
+    /// Runs the workload through the meter driver: the body's tally
+    /// funds the batches, the body itself runs every iteration.
+    fn run_metered(dev: &mut Device, body: &SeqBody, iters: u64) -> Result<(), PowerFailure> {
+        let bundle = OpBundle::tally(body, Phase::Kernel);
+        run_loop(dev, &bundle, &mut body.clone(), 0, iters as u32)
+    }
+
     fn assert_traces_identical(a: &Device, b: &Device) {
         assert_eq!(a.charge_pj(), b.charge_pj());
         assert_eq!(a.is_on(), b.is_on());
@@ -2229,19 +2273,27 @@ mod tests {
         // full trace at every brown-out across repeated recharge cycles.
         for _ in 0..4 {
             let mut a = Device::new(DeviceSpec::tiny(), PowerSystem::cap_100uf());
+            let body = seq_body(&mut a, &seq);
             let mut b = a.clone();
+            let mut c = a.clone();
             let mut iters = 10_000u64;
             loop {
                 let ra = run_scalar(&mut a, &seq, iters);
                 let rb = run_bundled(&mut b, &seq, iters);
+                let rc = run_metered(&mut c, &body, iters);
                 assert_eq!(ra.is_err(), rb.is_err());
+                assert_eq!(ra.is_err(), rc.is_err());
                 assert_traces_identical(&a, &b);
+                assert_traces_identical(&a, &c);
+                assert_eq!(a.last_brownout(), c.last_brownout());
                 if ra.is_ok() {
                     break;
                 }
                 a.reboot().unwrap();
                 b.reboot().unwrap();
+                c.reboot().unwrap();
                 assert_traces_identical(&a, &b);
+                assert_traces_identical(&a, &c);
                 // Remaining work is unknown after a failure mid-iteration;
                 // keep hammering the same count to cross several reboots.
                 iters /= 2;
@@ -2445,15 +2497,25 @@ mod tests {
         // and deep into the run (forcing the bundle cap to matter).
         for target in [3u64, iter_len, 5 * iter_len + 2, 40 * iter_len - 1] {
             let mut a = continuous();
-            let mut b = continuous();
+            let body = seq_body(&mut a, &seq);
             a.arm_faults(&FaultPlan::at(target));
-            b.arm_faults(&FaultPlan::at(target));
+            let mut b = a.clone();
+            let mut c = a.clone();
             let ra = run_scalar(&mut a, &seq, 100);
             let rb = run_bundled(&mut b, &seq, 100);
-            assert_eq!(ra.is_err(), rb.is_err(), "target {target}");
-            assert_eq!(a.ops_consumed(), b.ops_consumed(), "target {target}");
-            assert_eq!(a.last_brownout(), b.last_brownout(), "target {target}");
-            assert_traces_identical(&a, &b);
+            let rc = run_metered(&mut c, &body, 100);
+            for (d, r) in [(&b, rb), (&c, rc)] {
+                assert_eq!(ra.is_err(), r.is_err(), "target {target}");
+                assert_eq!(a.ops_consumed(), d.ops_consumed(), "target {target}");
+                assert_eq!(a.last_brownout(), d.last_brownout(), "target {target}");
+                assert_traces_identical(&a, d);
+            }
+            // The metered run's memory holds what the scalar stream
+            // stored before the target: the last data write (op 3 of an
+            // iteration) and the last continuation write (op 4).
+            let last = |pos: u64| (0..100).rfind(|t| t * iter_len + pos < target).unwrap_or(0);
+            assert_eq!(c.peek(body.buf)[0].raw(), last(3) as i16, "target {target}");
+            assert_eq!(c.peek_word(body.ctl), last(4) as u16, "target {target}");
         }
     }
 

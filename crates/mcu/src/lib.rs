@@ -63,11 +63,11 @@ pub mod power;
 pub mod spec;
 pub mod trace;
 
-pub use bundle::{BundleOp, OpBundle};
+pub use bundle::{run_loop, BundleOp, LoopBody, Meter, OpBundle, Tally};
 pub use device::{
     AllocError, BrownoutInfo, Device, FaultKind, FaultPlan, FramBuf, FramWord, NvAddr,
     PowerFailure, SramBuf, SramWord, SupplyDead, CORRUPTION_RETRY_LIMIT,
 };
-pub use power::{HarvestProfile, Harvester, PowerSystem};
+pub use power::{HarvestProfile, Harvester, PowerSystem, TraceCsvError, TraceLineError};
 pub use spec::{Cost, CostTable, DeviceSpec, Op};
 pub use trace::{OpStat, Phase, RegionId, Trace, TraceReport};

@@ -27,6 +27,69 @@
 
 use core::fmt;
 
+/// Why a recorded harvest trace was rejected by
+/// [`HarvestProfile::piecewise_from_csv`].
+#[derive(Debug)]
+pub enum TraceCsvError {
+    /// Line `line` (1-based) is not a usable `duration_s,power_w` record.
+    Line {
+        /// The 1-based line number in the trace text.
+        line: usize,
+        /// What is wrong with it.
+        reason: TraceLineError,
+    },
+    /// No segments remain once comments and the header are skipped.
+    Empty,
+    /// The trace file could not be read.
+    Io(std::io::Error),
+}
+
+/// What is wrong with one rejected trace line.
+#[derive(Clone, Debug, PartialEq)]
+pub enum TraceLineError {
+    /// The line does not hold exactly two comma-separated fields.
+    NotARecord(String),
+    /// The duration field is not a number.
+    BadDuration(String),
+    /// The power field is not a number.
+    BadPower(String),
+    /// The duration is negative or non-finite.
+    InvalidDuration(f64),
+    /// The power is negative or non-finite.
+    InvalidPower(f64),
+}
+
+impl fmt::Display for TraceCsvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceCsvError::Line { line, reason } => write!(f, "line {line}: {reason}"),
+            TraceCsvError::Empty => write!(f, "no segments in trace"),
+            TraceCsvError::Io(e) => write!(f, "reading trace: {e}"),
+        }
+    }
+}
+
+impl fmt::Display for TraceLineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceLineError::NotARecord(l) => write!(f, "expected `duration_s,power_w`, got `{l}`"),
+            TraceLineError::BadDuration(d) => write!(f, "bad duration `{d}`"),
+            TraceLineError::BadPower(p) => write!(f, "bad power `{p}`"),
+            TraceLineError::InvalidDuration(d) => write!(f, "invalid duration {d}"),
+            TraceLineError::InvalidPower(p) => write!(f, "invalid power {p}"),
+        }
+    }
+}
+
+impl std::error::Error for TraceCsvError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            TraceCsvError::Io(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
 /// Voltage at which the device turns on, in volts (calibrated; see module
 /// docs).
 pub const V_ON: f64 = 2.10;
@@ -204,23 +267,25 @@ impl HarvestProfile {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending line when a line is not a
-    /// two-field numeric record, a duration is negative/non-finite, a
-    /// power is negative/non-finite, or no segments remain.
-    pub fn piecewise_from_csv(text: &str) -> Result<Self, String> {
+    /// Returns [`TraceCsvError::Line`] with the 1-based line number when a
+    /// line is not a two-field numeric record, a duration is
+    /// negative/non-finite, or a power is negative/non-finite, and
+    /// [`TraceCsvError::Empty`] when no segments remain.
+    pub fn piecewise_from_csv(text: &str) -> Result<Self, TraceCsvError> {
         let mut segs = Vec::new();
         let mut header_skipped = false;
         for (idx, line) in text.lines().enumerate() {
+            let reject = |reason| TraceCsvError::Line {
+                line: idx + 1,
+                reason,
+            };
             let line = line.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
                 continue;
             }
             let mut fields = line.split(',').map(str::trim);
             let (Some(d), Some(p), None) = (fields.next(), fields.next(), fields.next()) else {
-                return Err(format!(
-                    "line {}: expected `duration_s,power_w`, got `{line}`",
-                    idx + 1
-                ));
+                return Err(reject(TraceLineError::NotARecord(line.to_string())));
             };
             let Ok(dur) = d.parse::<f64>() else {
                 // The first non-numeric record (before any data) is the
@@ -229,21 +294,21 @@ impl HarvestProfile {
                     header_skipped = true;
                     continue;
                 }
-                return Err(format!("line {}: bad duration `{d}`", idx + 1));
+                return Err(reject(TraceLineError::BadDuration(d.to_string())));
             };
             let power: f64 = p
                 .parse()
-                .map_err(|_| format!("line {}: bad power `{p}`", idx + 1))?;
+                .map_err(|_| reject(TraceLineError::BadPower(p.to_string())))?;
             if !dur.is_finite() || dur < 0.0 {
-                return Err(format!("line {}: invalid duration {dur}", idx + 1));
+                return Err(reject(TraceLineError::InvalidDuration(dur)));
             }
             if !power.is_finite() || power < 0.0 {
-                return Err(format!("line {}: invalid power {power}", idx + 1));
+                return Err(reject(TraceLineError::InvalidPower(power)));
             }
             segs.push((dur, power));
         }
         if segs.is_empty() {
-            return Err("no segments in trace".to_string());
+            return Err(TraceCsvError::Empty);
         }
         Ok(HarvestProfile::Piecewise(segs))
     }
@@ -253,11 +318,13 @@ impl HarvestProfile {
     ///
     /// # Errors
     ///
-    /// Returns a message on I/O or parse failure.
-    pub fn piecewise_from_csv_file(path: impl AsRef<std::path::Path>) -> Result<Self, String> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        Self::piecewise_from_csv(&text).map_err(|e| format!("{}: {e}", path.display()))
+    /// Returns [`TraceCsvError::Io`] when the file cannot be read, and
+    /// the parse errors of [`HarvestProfile::piecewise_from_csv`].
+    pub fn piecewise_from_csv_file(
+        path: impl AsRef<std::path::Path>,
+    ) -> Result<Self, TraceCsvError> {
+        let text = std::fs::read_to_string(path).map_err(TraceCsvError::Io)?;
+        Self::piecewise_from_csv(&text)
     }
 
     /// Validates the profile's parameters, panicking on a
@@ -742,20 +809,31 @@ mod tests {
 
     #[test]
     fn csv_trace_rejects_malformed_lines() {
-        for (text, needle) in [
-            ("", "no segments"),
-            ("# only comments\n", "no segments"),
-            ("1.0\n", "expected"),
-            ("1.0,2.0,3.0\n", "expected"),
-            ("1.0,150e-6\nnope,1.0\n", "bad duration"),
-            ("a,b\nc,d\n", "bad duration"), // only one header is skipped
-            ("1.0,watts\n", "bad power"),
-            ("-1.0,150e-6\n", "invalid duration"),
-            ("1.0,-150e-6\n", "invalid power"),
-            ("inf,1e-6\n", "invalid duration"),
+        use TraceLineError::*;
+        let line = |line: usize, reason: TraceLineError| Some((line, reason));
+        for (text, want) in [
+            ("", None),
+            ("# only comments\n", None),
+            ("1.0\n", line(1, NotARecord("1.0".into()))),
+            ("1.0,2.0,3.0\n", line(1, NotARecord("1.0,2.0,3.0".into()))),
+            (
+                "1.0,150e-6\nnope,1.0\n",
+                line(2, BadDuration("nope".into())),
+            ),
+            ("a,b\nc,d\n", line(2, BadDuration("c".into()))), // one header only
+            ("1.0,watts\n", line(1, BadPower("watts".into()))),
+            ("-1.0,150e-6\n", line(1, InvalidDuration(-1.0))),
+            ("1.0,-150e-6\n", line(1, InvalidPower(-150e-6))),
+            ("inf,1e-6\n", line(1, InvalidDuration(f64::INFINITY))),
         ] {
             let err = HarvestProfile::piecewise_from_csv(text).unwrap_err();
-            assert!(err.contains(needle), "{text:?}: {err}");
+            match (&err, want) {
+                (TraceCsvError::Empty, None) => {}
+                (TraceCsvError::Line { line, reason }, Some((l, r))) => {
+                    assert_eq!((*line, reason), (l, &r), "{text:?}: {err}");
+                }
+                (_, want) => panic!("{text:?}: got {err:?}, want {want:?}"),
+            }
         }
     }
 
@@ -782,7 +860,10 @@ mod tests {
         assert!(p.avg_power_w() > 50e-6 && p.avg_power_w() < 150e-6);
         let ps = PowerSystem::harvested_with(100e-6, p);
         assert_eq!(ps.label(), "100uF~tr");
-        assert!(HarvestProfile::piecewise_from_csv_file("/nonexistent.csv").is_err());
+        assert!(matches!(
+            HarvestProfile::piecewise_from_csv_file("/nonexistent.csv"),
+            Err(TraceCsvError::Io(_))
+        ));
     }
 
     #[test]

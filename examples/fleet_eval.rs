@@ -149,7 +149,7 @@ fn main() {
     // A recorded harvest trace (ROADMAP "real harvest-trace import"):
     // the bundled office walk-by RF recording, or a user-supplied CSV.
     let recorded = HarvestProfile::piecewise_from_csv_file(&args.trace_path)
-        .unwrap_or_else(|e| panic!("loading harvest trace: {e}"));
+        .unwrap_or_else(|e| panic!("loading harvest trace {}: {e}", args.trace_path));
     println!(
         "recorded trace {}: {:.1} uW average harvest",
         args.trace_path,

@@ -326,11 +326,14 @@ struct Funded<'a> {
 impl Funded<'_> {
     /// Only the batch's last continuation write is observable after an
     /// uninterrupted run of iterations.
+    #[inline(always)]
     fn settle(self) {
         if let Some((w, v)) = self.ctl {
             self.dev.prepaid_store_word(w, v);
         }
-        self.dev.mark_progress_n(self.progress);
+        if self.progress > 0 {
+            self.dev.mark_progress_n(self.progress);
+        }
     }
 }
 
@@ -427,6 +430,7 @@ fn abort_corrupted(dev: &mut Device, region: RegionId) -> Result<(), PowerFailur
 /// # Errors
 ///
 /// Returns [`PowerFailure`] on the brown-out, or when the body fails.
+#[inline]
 pub fn run_loop<B: LoopBody + Clone>(
     dev: &mut Device,
     bundle: &OpBundle,

@@ -450,15 +450,12 @@ fn run_layer(
     iter: &OpBundle,
 ) -> Result<(), PowerFailure> {
     dev.set_context(l.region, Phase::Kernel);
-    let total = l.in_shape.iter().product();
+    let [out, input] = [l.out_shape, l.in_shape].map(|s| s.iter().product());
     match &l.kind {
         DeployedKind::Conv { .. } => conv_layer(dev, m, l, iter),
         DeployedKind::Dense { .. } => dense_layer(dev, m, l, iter),
-        DeployedKind::Pool { .. } => {
-            let total = l.out_shape.iter().product();
-            run_loop(dev, iter, &mut PoolBody::new(m, l, Plain), 0, total)
-        }
-        DeployedKind::Relu => run_loop(dev, iter, &mut ReluBody::new(m, l, Plain), 0, total),
+        DeployedKind::Pool { .. } => run_loop(dev, iter, &mut PoolBody::new(m, l, Plain), 0, out),
+        DeployedKind::Relu => run_loop(dev, iter, &mut ReluBody::new(m, l, Plain), 0, input),
         DeployedKind::Flatten => Ok(()),
     }
 }
